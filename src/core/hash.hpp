@@ -79,9 +79,8 @@ std::uint32_t foldHash(std::uint32_t hash, int n_bits, int m_bits);
  * Normalise @p d, mapping every degenerate direction (zero vector,
  * length below sqrt(FLT_MIN), or any non-finite component) to the
  * canonical +x unit vector. For every direction normalize() handles
- * the result is bitwise identical to normalize(d). Ray-consuming
- * components (the hasher, the learned predictor backend) use this so
- * degenerate rays fall into one well-defined bucket instead of
+ * the result is bitwise identical to normalize(d). The hasher uses
+ * this so degenerate rays fall into one well-defined bucket instead of
  * invoking UB downstream.
  */
 Vec3 canonicalUnitDirection(const Vec3 &d);

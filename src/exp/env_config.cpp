@@ -64,13 +64,19 @@ parseEnvFlag(const char *name)
 }
 
 std::uint64_t
+parseDecimal(const char *name, const char *text)
+{
+    return parseDecimalOrThrow(name, text,
+                               "a non-negative decimal integer");
+}
+
+std::uint64_t
 parseEnvIndex(const char *name, std::uint64_t fallback)
 {
     const char *p = std::getenv(name);
     if (!p)
         return fallback;
-    return parseDecimalOrThrow(name, p,
-                               "a non-negative decimal integer");
+    return parseDecimal(name, p);
 }
 
 std::uint64_t
@@ -95,17 +101,12 @@ EnvConfig::fromEnvironment()
     EnvConfig env;
     env.budget = threadBudgetFromEnv();
 
-    if (const char *p = std::getenv("RTP_KERNEL"); p && *p) {
-        if (!parseKernelName(p, env.kernel))
+    for (const char *removed : {"RTP_KERNEL", "RTP_BACKEND"}) {
+        if (const char *p = std::getenv(removed); p && *p)
             throw std::invalid_argument(
-                "RTP_KERNEL must be \"scalar\" or \"soa\", got \"" +
-                std::string(p) + "\"");
-    }
-
-    if (const char *p = std::getenv("RTP_BACKEND"); p && *p) {
-        if (!parseBackendName(p, env.backend))
-            throw std::invalid_argument(
-                "RTP_BACKEND must be \"hash\" or \"learned\", got \"" +
+                std::string(removed) +
+                " was removed (one intersection kernel and one "
+                "predictor table remain); unset it, got \"" +
                 std::string(p) + "\"");
     }
 

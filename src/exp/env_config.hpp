@@ -12,15 +12,13 @@
  * loudly, not silently become a default.
  *
  * None of these variables is a *simulated* knob: results are
- * byte-identical at any legal setting (thread counts, kernel choice)
- * or the variable only attaches observers / redirects files.
+ * byte-identical at any legal setting (thread counts) or the variable
+ * only attaches observers / redirects files.
  *
  * | Variable             | Meaning                                  | Default            |
  * |----------------------|------------------------------------------|--------------------|
  * | RTP_THREADS          | sweep-level pool size                    | hardware threads   |
  * | RTP_SIM_THREADS      | per-simulation event-loop workers        | 1 (sequential)     |
- * | RTP_KERNEL           | intersection kernels: scalar | soa       | scalar             |
- * | RTP_BACKEND          | predictor backend: hash | learned        | hash               |
  * | RTP_CHECK            | 1 = invariant checker + oracle on        | 0                  |
  * | RTP_SERVICE          | 1 = route harness sweeps through         | 0                  |
  * |                      | a SimService job server                  |                    |
@@ -38,6 +36,11 @@
  *
  * The documented table above is the single source of truth; README.md
  * mirrors it for users.
+ *
+ * Removed knobs: RTP_KERNEL (the SoA intersection kernels) and
+ * RTP_BACKEND (the learned predictor backend) no longer exist. Any
+ * non-empty value throws, so a stale script fails instead of silently
+ * running the one remaining kernel and predictor table.
  */
 
 #pragma once
@@ -45,9 +48,7 @@
 #include <cstdint>
 #include <string>
 
-#include "core/predictor_backend.hpp" // PredictorBackendKind
 #include "exp/parallel.hpp"
-#include "geometry/intersect_soa.hpp" // KernelKind
 
 namespace rtp {
 
@@ -56,19 +57,6 @@ struct EnvConfig
 {
     /** RTP_THREADS x RTP_SIM_THREADS, composed (threadBudgetFromEnv). */
     ThreadBudget budget;
-
-    /** RTP_KERNEL: intersection-kernel implementation. */
-    KernelKind kernel = KernelKind::Scalar;
-
-    /**
-     * RTP_BACKEND: predictor storage backend. Applied (like
-     * RTP_KERNEL) only when non-default, so benches that pin backends
-     * per cell are overridden uniformly or not at all. A simulated
-     * knob, unlike the rest of this struct: changing it legitimately
-     * changes predictor outcomes and therefore simulated cycles —
-     * but never per-ray visibility results.
-     */
-    PredictorBackendKind backend = PredictorBackendKind::HashTable;
 
     /** RTP_CHECK: invariant checker + reference oracle per sweep point. */
     bool check = false;
@@ -119,6 +107,14 @@ std::string envString(const char *name);
  * rejected deliberately — one spelling, no surprises in CI scripts.)
  */
 bool parseEnvFlag(const char *name);
+
+/**
+ * Strict non-negative decimal integer from any text source (an
+ * environment value or a command-line argument): no signs, no
+ * whitespace, no trailing junk, no empty string. @p name labels the
+ * std::invalid_argument thrown on anything else.
+ */
+std::uint64_t parseDecimal(const char *name, const char *text);
 
 /**
  * Strict non-negative decimal environment integer (for indices like

@@ -8,10 +8,10 @@ bool
 intersectRayAabb(const Ray &ray, const RayBoxPrecomp &pre, const Aabb &box,
                  float &tEntry)
 {
-    // Robust slab test: safeInv guarantees a finite invDir, so no
-    // product below can be NaN, and the branchless kernelMin/kernelMax
-    // selects match the SIMD min/max semantics of the SoA kernel
-    // operation-for-operation (bitwise scalar/SoA equivalence).
+    // Robust slab test: safeInv guarantees a finite invDir, so for a
+    // finite origin and box no product below is NaN. The operand order
+    // of every kernelMin/kernelMax select is fixed (see their NaN and
+    // tie contract), so entry distances are bitwise reproducible.
     float t0 = (box.lo.x - ray.origin.x) * pre.invDir.x;
     float t1 = (box.hi.x - ray.origin.x) * pre.invDir.x;
     float tmin = kernelMin(t0, t1);

@@ -18,12 +18,15 @@
 namespace rtp {
 
 /**
- * Branchless minimum, (a < b ? a : b). This is the exact semantics of
- * the SIMD min instructions (SSE minps, NEON fmin with the same operand
- * order), unlike std::fmin, whose NaN- and signed-zero-handling depends
- * on operand order. The scalar and SoA slab kernels share these helpers
- * so their selects are identical operation-for-operation — a
- * precondition of the bitwise scalar/SoA equivalence contract.
+ * Branchless minimum, exactly (a < b ? a : b).
+ *
+ * Contract: @p a is returned only when a < b holds; otherwise @p b is.
+ * So a NaN in either operand yields @p b, and for equal values
+ * (including -0 vs +0) the second operand wins. The result is fully
+ * determined by the operand order, which callers keep fixed; unlike
+ * std::fmin/std::min there is no NaN-dropping or library-dependent
+ * tie-breaking, so the slab test rounds and selects identically on
+ * every platform.
  */
 inline float
 kernelMin(float a, float b)
@@ -31,7 +34,10 @@ kernelMin(float a, float b)
     return a < b ? a : b;
 }
 
-/** Branchless maximum, (a > b ? a : b); see kernelMin. */
+/**
+ * Branchless maximum, exactly (a > b ? a : b). Same contract as
+ * kernelMin: a NaN in either operand, or a tie, yields @p b.
+ */
 inline float
 kernelMax(float a, float b)
 {
@@ -46,8 +52,7 @@ kernelMax(float a, float b)
  * was summed from, which is exactly when catastrophic cancellation
  * makes det rounding noise and 1/det would amplify garbage. Unlike a
  * fixed absolute epsilon, the cull is invariant under uniform scene
- * scaling; unlike a |e1|*|pvec| bound it needs no square roots, so the
- * SoA kernels can evaluate it with the identical operation sequence.
+ * scaling; unlike a |e1|*|pvec| bound it needs no square roots.
  */
 constexpr float kTriDetEpsRel = 1e-6f;
 

@@ -69,14 +69,9 @@ SimConfig::validate() const
         fail("memory.dram.numBanks must be > 0 (every access would "
              "deadlock on a bank)");
     if (predictor.enabled) {
-        if (predictor.backend == PredictorBackendKind::HashTable &&
-            predictor.table.numEntries == 0)
+        if (predictor.table.numEntries == 0)
             fail("predictor.table.numEntries must be > 0 when the "
                  "predictor is enabled");
-        if (predictor.backend == PredictorBackendKind::Learned &&
-            predictor.learned.prototypes == 0)
-            fail("predictor.learned.prototypes must be > 0 when the "
-                 "learned backend is enabled");
         if (predictor.accessPorts == 0)
             fail("predictor.accessPorts must be > 0 when the "
                  "predictor is enabled");
@@ -127,7 +122,6 @@ configToJson(const SimConfig &config)
     const PredictorConfig &p = config.predictor;
     os << ",\"predictor\":{\"enabled\":"
        << (p.enabled ? "true" : "false")
-       << ",\"backend\":\"" << backendName(p.backend) << "\""
        << ",\"go_up_level\":" << p.goUpLevel
        << ",\"access_ports\":" << p.accessPorts
        << ",\"access_latency\":" << p.accessLatency
@@ -148,11 +142,7 @@ configToJson(const SimConfig &config)
                      ? "lfu"
                      : "lruk")
        << "\",\"lru_k\":" << p.table.lruK
-       << ",\"node_bits\":" << p.table.nodeBits << "}"
-       << ",\"learned\":{\"prototypes\":" << p.learned.prototypes
-       << ",\"accept_radius\":" << p.learned.acceptRadius
-       << ",\"learn_shift\":" << p.learned.learnShift
-       << ",\"node_bits\":" << p.learned.nodeBits << "}}";
+       << ",\"node_bits\":" << p.table.nodeBits << "}}";
     const MemoryConfig &m = config.memory;
     os << ",\"memory\":{\"l1\":";
     cache(os, m.l1);
@@ -179,14 +169,10 @@ describe(const SimConfig &config)
     os << config.numSms << " SMs, L1 "
        << config.memory.l1.sizeBytes / 1024 << "KB";
     if (config.predictor.enabled) {
-        if (config.predictor.backend == PredictorBackendKind::Learned)
-            os << ", predictor learned:"
-               << config.predictor.learned.prototypes << "p";
-        else
-            os << ", predictor " << config.predictor.table.numEntries
-               << "x" << config.predictor.table.nodesPerEntry << " ("
-               << config.predictor.table.ways << "-way)";
-        os << ", GoUp " << config.predictor.goUpLevel << ", repack "
+        os << ", predictor " << config.predictor.table.numEntries
+           << "x" << config.predictor.table.nodesPerEntry << " ("
+           << config.predictor.table.ways << "-way), GoUp "
+           << config.predictor.goUpLevel << ", repack "
            << (config.rt.repackEnabled ? "on" : "off");
         if (config.rt.additionalWarps > 0)
             os << " +" << config.rt.additionalWarps << " warps";

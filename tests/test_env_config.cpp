@@ -110,7 +110,8 @@ TEST(EnvConfig, EnvStringEmptyWhenUnset)
 
 TEST(EnvConfig, FromEnvironmentDefaults)
 {
-    ScopedEnv k("RTP_KERNEL", nullptr), c("RTP_CHECK", nullptr),
+    ScopedEnv k("RTP_KERNEL", nullptr), b("RTP_BACKEND", nullptr),
+        c("RTP_CHECK", nullptr),
         s("RTP_SERVICE", nullptr), t("RTP_TRACE", nullptr),
         tp("RTP_TRACE_POINT", nullptr), te("RTP_TELEMETRY", nullptr),
         tep("RTP_TELEMETRY_POINT", nullptr),
@@ -118,7 +119,6 @@ TEST(EnvConfig, FromEnvironmentDefaults)
         j("RTP_JSON_DIR", nullptr), sc("RTP_SCALE", nullptr),
         r("RTP_SELFBENCH_REPS", nullptr);
     EnvConfig env = EnvConfig::fromEnvironment();
-    EXPECT_EQ(env.kernel, KernelKind::Scalar);
     EXPECT_FALSE(env.check);
     EXPECT_FALSE(env.service);
     EXPECT_TRUE(env.tracePath.empty());
@@ -130,14 +130,13 @@ TEST(EnvConfig, FromEnvironmentDefaults)
 
 TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
 {
-    ScopedEnv k("RTP_KERNEL", "soa"), c("RTP_CHECK", "1"),
+    ScopedEnv c("RTP_CHECK", "1"),
         s("RTP_SERVICE", "1"), t("RTP_TRACE", "/tmp/t.json"),
         tp("RTP_TRACE_POINT", "2"), te("RTP_TELEMETRY", "/tmp/m.json"),
         tep("RTP_TELEMETRY_POINT", "1"),
         per("RTP_TELEMETRY_PERIOD", "512"), j("RTP_JSON_DIR", "/tmp"),
         sc("RTP_SCALE", "2"), r("RTP_SELFBENCH_REPS", "5");
     EnvConfig env = EnvConfig::fromEnvironment();
-    EXPECT_EQ(env.kernel, KernelKind::Soa);
     EXPECT_TRUE(env.check);
     EXPECT_TRUE(env.service);
     EXPECT_EQ(env.tracePath, "/tmp/t.json");
@@ -150,28 +149,28 @@ TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
     EXPECT_EQ(env.selfbenchReps, 5);
 }
 
-TEST(EnvConfig, BackendParsesStrictly)
+TEST(EnvConfig, RemovedKnobsFailLoudly)
 {
-    {
-        ScopedEnv b("RTP_BACKEND", nullptr);
-        EXPECT_EQ(EnvConfig::fromEnvironment().backend,
-                  PredictorBackendKind::HashTable);
-    }
-    {
-        ScopedEnv b("RTP_BACKEND", "hash");
-        EXPECT_EQ(EnvConfig::fromEnvironment().backend,
-                  PredictorBackendKind::HashTable);
-    }
-    {
-        ScopedEnv b("RTP_BACKEND", "learned");
-        EXPECT_EQ(EnvConfig::fromEnvironment().backend,
-                  PredictorBackendKind::Learned);
-    }
-    for (const char *bad : {"Learned", "table", "nif", "2"}) {
-        ScopedEnv b("RTP_BACKEND", bad);
-        EXPECT_THROW(EnvConfig::fromEnvironment(),
-                     std::invalid_argument)
-            << bad;
+    // RTP_KERNEL and RTP_BACKEND selected code that no longer exists.
+    // Every non-empty value — including the old defaults — must throw
+    // and say so, rather than silently run the remaining kernel and
+    // predictor table.
+    for (const char *name : {"RTP_KERNEL", "RTP_BACKEND"}) {
+        for (const char *value :
+             {"scalar", "soa", "hash", "learned", "x"}) {
+            ScopedEnv knob(name, value);
+            try {
+                EnvConfig::fromEnvironment();
+                ADD_FAILURE() << name << "=" << value << " accepted";
+            } catch (const std::invalid_argument &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(name), std::string::npos) << what;
+                EXPECT_NE(what.find("removed"), std::string::npos)
+                    << what;
+            }
+        }
+        ScopedEnv empty(name, "");
+        EXPECT_NO_THROW(EnvConfig::fromEnvironment()) << name;
     }
 }
 

@@ -4,6 +4,7 @@
 
 #include "bvh/builder.hpp"
 #include "core/predictor.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace rtp {
@@ -154,6 +155,53 @@ TEST(Predictor, StatsTrackActivity)
     EXPECT_EQ(p.stats().get("lookups"), 2u);
     EXPECT_EQ(p.stats().get("trained"), 1u);
     EXPECT_EQ(p.stats().get("predicted"), 1u);
+}
+
+/**
+ * End-of-run sweep (RayPredictor::checkFinalState): the unit's counters
+ * and its table's tell one story — every lookup is exactly one table
+ * hit or miss, and every prediction came from a table hit.
+ */
+TEST(PredictorUnit, PassesFinalStateCheck)
+{
+    Fixture f;
+    PredictorConfig cfg;
+    RayPredictor p(cfg, f.bvh);
+    std::vector<std::uint32_t> nodes;
+    Cycle ready = 0;
+    for (int i = 0; i < 64; ++i) {
+        Ray r = downRay(0.15f * i, 0.1f * (i % 7));
+        p.lookupInto(r, i, ready, nodes);
+        p.update(r, f.bvh.leafOfPrimSlot(i % 11), i);
+    }
+
+    InvariantChecker check;
+    p.checkFinalState(check);
+    EXPECT_GT(check.checksRun(), 0u);
+    EXPECT_EQ(p.stats().get("lookups"), 64u);
+    EXPECT_GT(p.stats().get("predicted"), 0u);
+    EXPECT_LT(p.stats().get("predicted"), 64u);
+    EXPECT_EQ(p.table().stats().get("lookup_hits") +
+                  p.table().stats().get("lookup_misses"),
+              64u);
+}
+
+/** Copying a RayPredictor deep-copies the trained table (PredictorSet). */
+TEST(PredictorUnit, CopyClonesTableState)
+{
+    Fixture f;
+    PredictorConfig cfg;
+    RayPredictor p(cfg, f.bvh);
+    p.update(downRay(1, 1), f.bvh.leafOfPrimSlot(0), 0);
+
+    RayPredictor copy(p);
+    EXPECT_EQ(copy.table().validEntries(), 1u);
+    Cycle ready;
+    EXPECT_TRUE(copy.lookup(downRay(1, 1), 1, ready).has_value());
+    // Mutating the copy leaves the original untouched.
+    copy.update(downRay(8, 8), f.bvh.leafOfPrimSlot(5), 2);
+    EXPECT_EQ(copy.table().validEntries(), 2u);
+    EXPECT_EQ(p.table().validEntries(), 1u);
 }
 
 } // namespace

@@ -6,25 +6,26 @@
  * exercises the simulator at paper-like scale rather than test scale.
  *
  * Used by the CI perf gate: the run must finish inside a wall-clock
- * budget (--budget-seconds or RTP_SMOKE_BUDGET, seconds; 0 disables),
- * so a host-performance regression that only shows up at scale — e.g.
- * a kernel or event-loop slowdown hidden by tiny test workloads —
- * fails loudly. The intersection kernels default to the batched SoA
- * path; RTP_KERNEL=scalar|soa overrides (exp/harness.cpp), letting the
- * gate also compare the two end to end.
+ * budget (--budget-seconds or RTP_SMOKE_BUDGET, whole seconds; 0
+ * disables), so a host-performance regression that only shows up at
+ * scale — e.g. a kernel or event-loop slowdown hidden by tiny test
+ * workloads — fails loudly. Both budget sources parse strictly
+ * (exp/env_config.hpp rules): "abc" or "60s" exits 2 before any scene
+ * is built rather than silently disabling the gate.
  *
  * Prints the scene, ray count, simulated cycles, wall seconds, and
- * rays per wall-second. Exit status: 0 inside budget, 1 otherwise.
+ * rays per wall-second. Exit status: 0 inside budget, 1 over budget,
+ * 2 on a usage error.
  */
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 #include "bvh/builder.hpp"
-#include "exp/harness.hpp"
-#include "geometry/intersect_soa.hpp"
+#include "exp/env_config.hpp"
 #include "gpu/simulator.hpp"
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
@@ -47,35 +48,28 @@ now_seconds()
 int
 main(int argc, char **argv)
 {
-    double budget_seconds = 0.0;
-    if (const char *b = std::getenv("RTP_SMOKE_BUDGET"))
-        budget_seconds = std::atof(b);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--budget-seconds") == 0 &&
-            i + 1 < argc) {
-            budget_seconds = std::atof(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: paperscale_smoke "
-                         "[--budget-seconds S]\n");
-            return 2;
+    std::uint64_t budget_seconds = 0;
+    try {
+        budget_seconds = parseEnvIndex("RTP_SMOKE_BUDGET", 0);
+        for (int i = 1; i < argc; ++i) {
+            if (std::strcmp(argv[i], "--budget-seconds") == 0 &&
+                i + 1 < argc) {
+                budget_seconds =
+                    parseDecimal("--budget-seconds", argv[++i]);
+            } else {
+                std::fprintf(stderr,
+                             "usage: paperscale_smoke "
+                             "[--budget-seconds S]\n");
+                return 2;
+            }
         }
-    }
-
-    KernelKind kernel = KernelKind::Soa;
-    if (const char *k = std::getenv("RTP_KERNEL")) {
-        if (!parseKernelName(k, kernel)) {
-            std::fprintf(stderr,
-                         "paperscale_smoke: RTP_KERNEL must be "
-                         "\"scalar\" or \"soa\", got \"%s\"\n",
-                         k);
-            return 2;
-        }
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "paperscale_smoke: %s\n", e.what());
+        return 2;
     }
 
     std::printf("paperscale_smoke: Sibenik detail=1.0 512x512x1spp, "
-                "8 SMs proposed, kernel=%s\n",
-                kernelName(kernel));
+                "8 SMs proposed\n");
 
     double t0 = now_seconds();
     Scene scene = makeScene(SceneId::Sibenik, 1.0f);
@@ -92,7 +86,6 @@ main(int argc, char **argv)
 
     SimConfig config = SimConfig::proposed();
     config.numSms = 8;
-    config.rt.kernel = kernel;
 
     t0 = now_seconds();
     SimResult result =
@@ -107,15 +100,16 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(result.cycles),
                 sim_seconds, rps);
 
-    if (budget_seconds > 0.0 && sim_seconds > budget_seconds) {
+    const double budget = static_cast<double>(budget_seconds);
+    if (budget > 0.0 && sim_seconds > budget) {
         std::fprintf(stderr,
                      "paperscale_smoke: FAIL — simulation wall clock "
-                     "%.2fs exceeded the %.2fs budget\n",
-                     sim_seconds, budget_seconds);
+                     "%.2fs exceeded the %.0fs budget\n",
+                     sim_seconds, budget);
         return 1;
     }
-    if (budget_seconds > 0.0)
-        std::printf("  inside wall-clock budget (%.2fs <= %.2fs)\n",
-                    sim_seconds, budget_seconds);
+    if (budget > 0.0)
+        std::printf("  inside wall-clock budget (%.2fs <= %.0fs)\n",
+                    sim_seconds, budget);
     return 0;
 }
