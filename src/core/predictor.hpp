@@ -48,8 +48,7 @@ struct Prediction
 /**
  * The timed predictor unit attached to one SM's RT unit. Copies are
  * deep: trained table state, timing state and observer pointers are
- * all copied (callers that clone across jobs detach observers
- * afterwards, see PredictorSet::clone).
+ * all copied.
  */
 class RayPredictor
 {
@@ -161,19 +160,6 @@ class RayPredictor
      * every prediction came from a table hit.
      */
     void checkFinalState(InvariantChecker &check) const;
-
-    /**
-     * Drop the trace sink and invariant checker. Copies made for
-     * cross-request cloning (PredictorSet::clone) call this so two
-     * jobs never share one observer.
-     */
-    void
-    detachObservers()
-    {
-        trace_ = nullptr;
-        check_ = nullptr;
-        profile_ = nullptr;
-    }
 
     const PredictorConfig &
     config() const

@@ -122,9 +122,8 @@ class PredictorTable
     void reset();
 
     /**
-     * @return Number of valid (trained) entries across all sets — the
-     * warm-state occupancy a service reports as predictor warmth at
-     * job admission.
+     * @return Number of valid (trained) entries across all sets — how
+     * much trained state a table carries into the next run.
      */
     std::size_t validEntries() const;
 

@@ -101,17 +101,16 @@ EnvConfig::fromEnvironment()
     EnvConfig env;
     env.budget = threadBudgetFromEnv();
 
-    for (const char *removed : {"RTP_KERNEL", "RTP_BACKEND"}) {
+    for (const char *removed :
+         {"RTP_KERNEL", "RTP_BACKEND", "RTP_SERVICE"}) {
         if (const char *p = std::getenv(removed); p && *p)
             throw std::invalid_argument(
                 std::string(removed) +
-                " was removed (one intersection kernel and one "
-                "predictor table remain); unset it, got \"" +
+                " was removed and selects nothing; unset it, got \"" +
                 std::string(p) + "\"");
     }
 
     env.check = parseEnvFlag("RTP_CHECK");
-    env.service = parseEnvFlag("RTP_SERVICE");
 
     if (const char *p = std::getenv("RTP_TRACE"))
         env.tracePath = p;

@@ -2,8 +2,8 @@
  * @file
  * Unified RTP_* environment configuration.
  *
- * Every host-side execution knob the harness, tools, and the job
- * server honour is parsed here, strictly, in one place — previously the
+ * Every host-side execution knob the harness and the tools honour is
+ * parsed here, strictly, in one place — previously the
  * parsing was scattered across exp/harness.cpp, exp/parallel.cpp,
  * exp/workload.cpp, and the tools, each with its own (sometimes
  * lenient) rules. A malformed value throws std::invalid_argument with
@@ -20,8 +20,6 @@
  * | RTP_THREADS          | sweep-level pool size                    | hardware threads   |
  * | RTP_SIM_THREADS      | per-simulation event-loop workers        | 1 (sequential)     |
  * | RTP_CHECK            | 1 = invariant checker + oracle on        | 0                  |
- * | RTP_SERVICE          | 1 = route harness sweeps through         | 0                  |
- * |                      | a SimService job server                  |                    |
  * | RTP_TRACE            | Chrome-trace output path                 | (off)              |
  * | RTP_TRACE_POINT      | sweep-point index to trace               | 0                  |
  * | RTP_TELEMETRY        | telemetry timeline path (.csv = CSV)     | (off)              |
@@ -37,10 +35,12 @@
  * The documented table above is the single source of truth; README.md
  * mirrors it for users.
  *
- * Removed knobs: RTP_KERNEL (the SoA intersection kernels) and
- * RTP_BACKEND (the learned predictor backend) no longer exist. Any
- * non-empty value throws, so a stale script fails instead of silently
- * running the one remaining kernel and predictor table.
+ * Removed knobs: RTP_KERNEL (the SoA intersection kernels),
+ * RTP_BACKEND (the learned predictor backend) and RTP_SERVICE (the job
+ * server that ran sweeps instead of the runSweep pool) no longer exist.
+ * Any non-empty value throws, so a stale script fails instead of
+ * silently running the one remaining kernel, predictor table and sweep
+ * path.
  */
 
 #pragma once
@@ -60,9 +60,6 @@ struct EnvConfig
 
     /** RTP_CHECK: invariant checker + reference oracle per sweep point. */
     bool check = false;
-
-    /** RTP_SERVICE: run harness sweeps through a SimService instance. */
-    bool service = false;
 
     /** RTP_TRACE / RTP_TRACE_POINT (empty path = tracing off). */
     std::string tracePath;

@@ -654,43 +654,6 @@ PredictorSet::resetTables()
         p->resetTable();
 }
 
-PredictorSet
-PredictorSet::clone() const
-{
-    PredictorSet out;
-    out.predictors_.reserve(predictors_.size());
-    for (const auto &p : predictors_) {
-        auto copy = std::make_unique<RayPredictor>(*p);
-        // Observers (trace sink, invariant checker) are per-run
-        // attachments; a clone sharing them would interleave two jobs'
-        // events in one sink.
-        copy->detachObservers();
-        out.predictors_.push_back(std::move(copy));
-    }
-    return out;
-}
-
-void
-PredictorSet::reset()
-{
-    for (auto &p : predictors_) {
-        p->resetTable();
-        p->clearStats();
-    }
-}
-
-PredictorSetStats
-PredictorSet::snapshotStats() const
-{
-    PredictorSetStats s;
-    s.numSms = predictors_.size();
-    for (const auto &p : predictors_) {
-        s.validEntries += p->table().validEntries();
-        s.capacity += p->table().capacity();
-    }
-    return s;
-}
-
 std::vector<RayPredictor *>
 PredictorSet::pointers() const
 {

@@ -1,8 +1,7 @@
 /**
  * @file
  * The RT unit's event queue: an indexed calendar (bucket) queue keyed on
- * cycle, with the GTO `order` tie-break, plus the original binary-heap
- * implementation selectable for equivalence testing.
+ * cycle, with the GTO `order` tie-break.
  *
  * The simulator pops events in strictly non-decreasing cycle order and
  * pushes events at cycles >= the current one, which is the access
@@ -13,17 +12,18 @@
  * horizon (or, defensively, before its base) go to a small overflow
  * vector that is migrated into the ring when the ring drains.
  *
- * Pop order is exactly the heap's: minimum (cycle, order). Within one
- * cycle every WarpStep event has a unique warp dispatch order, and the
- * only events that can tie exactly are duplicate CollectorFlush entries,
- * which are bitwise identical — so the queue's total order (and thus
- * the simulation it drives) is byte-identical across implementations.
+ * Pop order is exactly a binary min-heap's: minimum (cycle, order).
+ * Within one cycle every WarpStep event has a unique warp dispatch
+ * order, and the only events that can tie exactly are duplicate
+ * CollectorFlush entries, which are bitwise identical — so the queue's
+ * total order (and thus the simulation it drives) matches the
+ * std::priority_queue it replaced. The unit tests keep that heap as the
+ * reference model.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "mem/cache.hpp" // Cycle
@@ -56,19 +56,10 @@ struct RtEvent
     }
 };
 
-/** Which queue implementation an EventQueue uses. */
-enum class EventQueueImpl : std::uint8_t
-{
-    Calendar,   //!< indexed bucket ring (the fast default)
-    LegacyHeap, //!< std::priority_queue (reference implementation)
-};
-
 /** Min-(cycle, order) event queue for one RT unit. */
 class EventQueue
 {
   public:
-    explicit EventQueue(EventQueueImpl impl = EventQueueImpl::Calendar);
-
     bool
     empty() const
     {
@@ -115,12 +106,10 @@ class EventQueue
     void migrateOverflow();
     void checkPop(const RtEvent &ev);
 
-    EventQueueImpl impl_;
     std::size_t size_ = 0;
     InvariantChecker *check_ = nullptr;
     Cycle lastPopCycle_ = 0; //!< only maintained while check_ is set
 
-    // --- Calendar state ---
     std::vector<std::vector<RtEvent>> buckets_{kBuckets};
     std::uint64_t occupied_[kWords] = {};
     Cycle base_ = 0; //!< lower bound on the minimum ring cycle
@@ -129,11 +118,6 @@ class EventQueue
     Cycle overflowMin_ = ~0ull;
     mutable Cycle cachedMin_ = 0;
     mutable bool cacheValid_ = false;
-
-    // --- Legacy heap state ---
-    std::priority_queue<RtEvent, std::vector<RtEvent>,
-                        std::greater<RtEvent>>
-        heap_;
 };
 
 } // namespace rtp

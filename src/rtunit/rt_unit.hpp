@@ -59,9 +59,6 @@ struct RtUnitConfig
     IntersectionConfig isect;
     bool repackEnabled = true;        //!< Section 4.4 warp repacking
     RepackerConfig repacker;
-    /** Scheduler queue implementation (LegacyHeap is the reference
-     *  model used by the equivalence tests). */
-    EventQueueImpl eventQueue = EventQueueImpl::Calendar;
 };
 
 /** Final state of one traced ray. */

@@ -68,14 +68,6 @@ bool isBenchTimingKey(const std::string &key);
 bool isBenchPerfKey(const std::string &key);
 
 /**
- * @return true for wall-clock latency keys (loadgen's
- * `*_latency_seconds` percentiles): lower is better, so they gate only
- * in the slow direction — current > baseline * (1 + perfTol) is a
- * violation, faster is never one.
- */
-bool isBenchLatencyKey(const std::string &key);
-
-/**
  * Compare @p current against @p baseline under @p opts.
  * @return All violations in document order (empty = within tolerance).
  */

@@ -52,17 +52,6 @@ HistogramData::merge(const HistogramData &other)
     count += other.count;
 }
 
-std::vector<double>
-defaultLatencyBounds()
-{
-    // 1ms .. ~65s in powers of two: wide enough for queue waits and
-    // whole-job latencies without per-workload tuning.
-    std::vector<double> bounds;
-    for (int i = 0; i <= 16; ++i)
-        bounds.push_back(0.001 * static_cast<double>(1 << i));
-    return bounds;
-}
-
 // ---------------------------------------------------------------------------
 // Formatting helpers
 

@@ -4,8 +4,7 @@
  *
  * Every observability surface the repo has grown — the per-cycle
  * attribution profiler (util/profile.hpp), the StatGroup counter
- * registry (util/stats.hpp), and the multi-tenant SimService
- * (service/sim_service.hpp) — feeds one MetricsRegistry of labelled
+ * registry (util/stats.hpp) — feeds one MetricsRegistry of labelled
  * counters, gauges, and histograms, which renders to the Prometheus
  * text exposition format (the lingua franca a production deployment
  * would scrape) and to a schema-stamped JSON sink.
@@ -40,10 +39,9 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 /**
  * Fixed-bound histogram accumulator (Prometheus bucket semantics):
  * bucket i counts observations <= bounds[i] and greater than
- * bounds[i-1]; one extra +Inf bucket catches the overflow. Used both
- * as the registry's histogram series payload and as a standalone
- * accumulator (SimService keeps per-tenant latency histograms in this
- * shape and copies them into a registry at export time).
+ * bounds[i-1]; one extra +Inf bucket catches the overflow. This is the
+ * registry's histogram series payload; the stats bridge copies
+ * StatGroup histograms into it.
  */
 struct HistogramData
 {
@@ -61,9 +59,6 @@ struct HistogramData
     /** Bucket-wise add (bounds must match). */
     void merge(const HistogramData &other);
 };
-
-/** Default latency bucket bounds in seconds (1ms .. 65s, power-of-2). */
-std::vector<double> defaultLatencyBounds();
 
 /** Registry of labelled metric families. */
 class MetricsRegistry

@@ -3,15 +3,15 @@
  * Result-schema versioning.
  *
  * Every machine-readable JSON document the simulator emits (SimResult,
- * StatGroup, bench sinks, telemetry timelines, trace metadata, service
- * job envelopes) carries a top-level "schema_version" so downstream
- * consumers — bench_diff, trace_report, timeline_report, service
- * clients — can evolve independently of the producer. Consumers accept
+ * StatGroup, bench sinks, telemetry timelines, trace metadata) carries
+ * a top-level "schema_version" so downstream consumers — bench_diff,
+ * trace_report, timeline_report — can evolve independently of the
+ * producer. Consumers accept
  * documents without the key (pre-versioning output), accept the current
  * version silently, and warn (but proceed) on unknown versions.
  *
  * Version history:
- *   1 — first versioned schema (introduced with the job-server PR).
+ *   1 — first versioned schema.
  *       Adds the key itself; all other fields as previously emitted.
  */
 

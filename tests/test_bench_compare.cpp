@@ -95,41 +95,6 @@ TEST(BenchCompare, PerfKeysGateOnlyInTheSlowDirection)
     EXPECT_TRUE(ok.empty());
 }
 
-TEST(BenchCompare, LatencyKeysGateOnlyWhenTheyRise)
-{
-    // *_latency_seconds is wall-clock and lower-is-better: rises
-    // beyond the perf tolerance are violations, drops never are.
-    EXPECT_TRUE(isBenchLatencyKey("interactive_p99_latency_seconds"));
-    EXPECT_TRUE(isBenchLatencyKey("x_latency_seconds"));
-    EXPECT_FALSE(isBenchLatencyKey("_latency_seconds")); // bare suffix
-    EXPECT_FALSE(isBenchLatencyKey("latency"));
-    EXPECT_FALSE(isBenchLatencyKey("wall_seconds"));
-
-    auto rose = diff(
-        "{\"results\":{\"A\":{\"p99_latency_seconds\":0.1}}}",
-        "{\"results\":{\"A\":{\"p99_latency_seconds\":0.2}}}");
-    ASSERT_EQ(rose.size(), 1u);
-    EXPECT_EQ(rose[0].kind, "perf");
-    auto fell = diff(
-        "{\"results\":{\"A\":{\"p99_latency_seconds\":0.1}}}",
-        "{\"results\":{\"A\":{\"p99_latency_seconds\":0.001}}}");
-    EXPECT_TRUE(fell.empty());
-    // +20% stays inside the default 25% perf tolerance.
-    auto ok = diff(
-        "{\"results\":{\"A\":{\"p99_latency_seconds\":0.1}}}",
-        "{\"results\":{\"A\":{\"p99_latency_seconds\":0.12}}}");
-    EXPECT_TRUE(ok.empty());
-}
-
-TEST(BenchCompare, SkipPerfIgnoresLatencyKeysToo)
-{
-    BenchDiffOptions opts;
-    opts.skipPerf = true;
-    auto v = diff("{\"p99_latency_seconds\":0.01}",
-                  "{\"p99_latency_seconds\":10.0}", opts);
-    EXPECT_TRUE(v.empty());
-}
-
 TEST(BenchCompare, SkipPerfIgnoresThroughputEntirely)
 {
     BenchDiffOptions opts;

@@ -184,11 +184,6 @@ TEST(CheckedSimulation, ConfigToJsonIsDeterministicAndComplete)
                             "\"memory\"", "\"repacker\"", "\"table\"",
                             "\"dram\""})
         EXPECT_NE(a.find(key), std::string::npos) << key;
-    // The two enum-valued knobs serialise symbolically.
-    SimConfig legacy = cfg;
-    legacy.rt.eventQueue = EventQueueImpl::LegacyHeap;
-    EXPECT_NE(configToJson(legacy).find("legacy_heap"),
-              std::string::npos);
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/env_config.hpp"
 #include "exp/workload.hpp"
@@ -111,8 +113,8 @@ TEST(EnvConfig, EnvStringEmptyWhenUnset)
 TEST(EnvConfig, FromEnvironmentDefaults)
 {
     ScopedEnv k("RTP_KERNEL", nullptr), b("RTP_BACKEND", nullptr),
-        c("RTP_CHECK", nullptr),
-        s("RTP_SERVICE", nullptr), t("RTP_TRACE", nullptr),
+        s("RTP_SERVICE", nullptr), c("RTP_CHECK", nullptr),
+        t("RTP_TRACE", nullptr),
         tp("RTP_TRACE_POINT", nullptr), te("RTP_TELEMETRY", nullptr),
         tep("RTP_TELEMETRY_POINT", nullptr),
         per("RTP_TELEMETRY_PERIOD", nullptr),
@@ -120,7 +122,6 @@ TEST(EnvConfig, FromEnvironmentDefaults)
         r("RTP_SELFBENCH_REPS", nullptr);
     EnvConfig env = EnvConfig::fromEnvironment();
     EXPECT_FALSE(env.check);
-    EXPECT_FALSE(env.service);
     EXPECT_TRUE(env.tracePath.empty());
     EXPECT_EQ(env.tracePoint, 0u);
     EXPECT_EQ(env.telemetryPeriod, 256u);
@@ -130,15 +131,13 @@ TEST(EnvConfig, FromEnvironmentDefaults)
 
 TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
 {
-    ScopedEnv c("RTP_CHECK", "1"),
-        s("RTP_SERVICE", "1"), t("RTP_TRACE", "/tmp/t.json"),
+    ScopedEnv c("RTP_CHECK", "1"), t("RTP_TRACE", "/tmp/t.json"),
         tp("RTP_TRACE_POINT", "2"), te("RTP_TELEMETRY", "/tmp/m.json"),
         tep("RTP_TELEMETRY_POINT", "1"),
         per("RTP_TELEMETRY_PERIOD", "512"), j("RTP_JSON_DIR", "/tmp"),
         sc("RTP_SCALE", "2"), r("RTP_SELFBENCH_REPS", "5");
     EnvConfig env = EnvConfig::fromEnvironment();
     EXPECT_TRUE(env.check);
-    EXPECT_TRUE(env.service);
     EXPECT_EQ(env.tracePath, "/tmp/t.json");
     EXPECT_EQ(env.tracePoint, 2u);
     EXPECT_EQ(env.telemetryPath, "/tmp/m.json");
@@ -151,14 +150,19 @@ TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
 
 TEST(EnvConfig, RemovedKnobsFailLoudly)
 {
-    // RTP_KERNEL and RTP_BACKEND selected code that no longer exists.
-    // Every non-empty value — including the old defaults — must throw
-    // and say so, rather than silently run the remaining kernel and
-    // predictor table.
-    for (const char *name : {"RTP_KERNEL", "RTP_BACKEND"}) {
-        for (const char *value :
-             {"scalar", "soa", "hash", "learned", "x"}) {
-            ScopedEnv knob(name, value);
+    // RTP_KERNEL, RTP_BACKEND and RTP_SERVICE selected code that no
+    // longer exists. Every non-empty value — including the old
+    // defaults — must throw and say so, rather than silently run the
+    // remaining kernel, predictor table and sweep path.
+    const std::vector<std::string> oldSelectors = {
+        "scalar", "soa", "hash", "learned", "x"};
+    const std::vector<std::string> oldFlags = {"0", "1", "x"};
+    for (const auto &[name, values] :
+         {std::pair{"RTP_KERNEL", oldSelectors},
+          std::pair{"RTP_BACKEND", oldSelectors},
+          std::pair{"RTP_SERVICE", oldFlags}}) {
+        for (const std::string &value : values) {
+            ScopedEnv knob(name, value.c_str());
             try {
                 EnvConfig::fromEnvironment();
                 ADD_FAILURE() << name << "=" << value << " accepted";

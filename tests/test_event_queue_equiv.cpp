@@ -1,14 +1,10 @@
 /**
  * @file
- * Equivalence tests for the RT unit's calendar event queue against the
- * original binary-heap implementation.
- *
- * Two layers: (1) the queue in isolation against a std::priority_queue
- * reference model (the exact structure the RT unit used before the
- * calendar queue), driven by scripted adversarial scenarios and seeded
- * random schedules shaped like the simulator's access pattern; (2) whole
- * workloads run through both EventQueueImpl settings, asserting the
- * SimResult JSON — every cycle count and counter — is byte-identical.
+ * Equivalence tests for the RT unit's calendar event queue against a
+ * std::priority_queue reference model (the exact structure the RT unit
+ * used before the calendar queue), driven by scripted adversarial
+ * scenarios and seeded random schedules shaped like the simulator's
+ * access pattern.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +14,7 @@
 #include <random>
 #include <vector>
 
-#include "bvh/builder.hpp"
-#include "gpu/simulator.hpp"
-#include "rays/raygen.hpp"
 #include "rtunit/event_queue.hpp"
-#include "scene/registry.hpp"
 
 namespace rtp {
 namespace {
@@ -50,7 +42,7 @@ drainAndCompare(EventQueue &q, ReferenceQueue &ref)
 
 TEST(EventQueue, PopsInCycleThenOrderSequence)
 {
-    EventQueue q(EventQueueImpl::Calendar);
+    EventQueue q;
     ReferenceQueue ref;
     // Same cycle, shuffled orders; then a later cycle.
     for (std::uint64_t ord : {5ull, 1ull, 3ull, 0ull, 4ull, 2ull}) {
@@ -71,7 +63,7 @@ TEST(EventQueue, OverflowEventCanComeDueBeforeRingEvents)
     // overflow store (scheduled > 1024 cycles ahead at push time) must
     // still pop BEFORE a ring event with a larger cycle that was pushed
     // later, once the window has advanced past it.
-    EventQueue q(EventQueueImpl::Calendar);
+    EventQueue q;
     ReferenceQueue ref;
     std::uint64_t ord = 0;
 
@@ -102,7 +94,7 @@ TEST(EventQueue, OverflowEventCanComeDueBeforeRingEvents)
 
 TEST(EventQueue, DuplicateCollectorFlushOrdersAreHandled)
 {
-    EventQueue q(EventQueueImpl::Calendar);
+    EventQueue q;
     ReferenceQueue ref;
     // Duplicate CollectorFlush events are bitwise identical in the
     // simulator; the queue may return them in any relative order.
@@ -124,7 +116,7 @@ TEST(EventQueue, RandomizedSchedulesMatchReference)
     // tail of far-future (overflow) events.
     for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u}) {
         std::mt19937 rng(seed);
-        EventQueue q(EventQueueImpl::Calendar);
+        EventQueue q;
         ReferenceQueue ref;
         std::uint64_t ord = 0;
         Cycle now = 0;
@@ -164,83 +156,6 @@ TEST(EventQueue, RandomizedSchedulesMatchReference)
         }
         drainAndCompare(q, ref);
     }
-}
-
-TEST(EventQueue, LegacyHeapModeMatchesReferenceToo)
-{
-    std::mt19937 rng(99);
-    EventQueue q(EventQueueImpl::LegacyHeap);
-    ReferenceQueue ref;
-    std::uint64_t ord = 0;
-    for (int i = 0; i < 200; ++i) {
-        RtEvent ev{rng() % 5000, ord++, RtEventKind::WarpStep, 0};
-        q.push(ev);
-        ref.push(ev);
-    }
-    drainAndCompare(q, ref);
-}
-
-// --- Whole-workload equivalence -----------------------------------------
-
-struct EquivRig
-{
-    Scene scene;
-    Bvh bvh;
-    RayBatch ao;
-
-    EquivRig()
-        : scene(makeScene(SceneId::Sibenik, 0.06f))
-    {
-        bvh = BvhBuilder().build(scene.mesh.triangles());
-        RayGenConfig cfg;
-        cfg.width = 24;
-        cfg.height = 24;
-        cfg.samplesPerPixel = 2;
-        cfg.viewportFraction = 0.4f;
-        ao = generateAoRays(scene, bvh, cfg);
-    }
-};
-
-EquivRig &
-equivRig()
-{
-    static EquivRig r;
-    return r;
-}
-
-/** Run one config under both queue implementations; JSON must match. */
-void
-expectQueueEquivalence(SimConfig cfg)
-{
-    cfg.rt.eventQueue = EventQueueImpl::LegacyHeap;
-    SimResult heap =
-        Simulation(cfg, equivRig().bvh,
-                   equivRig().scene.mesh.triangles())
-            .run(equivRig().ao.rays);
-    cfg.rt.eventQueue = EventQueueImpl::Calendar;
-    SimResult cal =
-        Simulation(cfg, equivRig().bvh,
-                   equivRig().scene.mesh.triangles())
-            .run(equivRig().ao.rays);
-    EXPECT_EQ(heap.toJson(), cal.toJson());
-    EXPECT_EQ(heap.cycles, cal.cycles);
-}
-
-TEST(EventQueueEquivalence, BaselineWorkloadByteIdentical)
-{
-    expectQueueEquivalence(SimConfig::baseline());
-}
-
-TEST(EventQueueEquivalence, ProposedWorkloadByteIdentical)
-{
-    expectQueueEquivalence(SimConfig::proposed());
-}
-
-TEST(EventQueueEquivalence, RepackWithExtraWarpsByteIdentical)
-{
-    SimConfig cfg = SimConfig::proposed();
-    cfg.rt.additionalWarps = 2; // exercises collector flush events
-    expectQueueEquivalence(cfg);
 }
 
 } // namespace

@@ -156,16 +156,6 @@ TEST(MetricsRegistry, HistogramMergeRejectsMismatchedBounds)
     EXPECT_EQ(a.counts[1], 1u);
 }
 
-TEST(MetricsRegistry, DefaultLatencyBoundsAreAscending)
-{
-    const std::vector<double> bounds = defaultLatencyBounds();
-    ASSERT_GE(bounds.size(), 2u);
-    EXPECT_DOUBLE_EQ(bounds.front(), 0.001);
-    EXPECT_GT(bounds.back(), 60.0);
-    for (std::size_t i = 1; i < bounds.size(); ++i)
-        EXPECT_LT(bounds[i - 1], bounds[i]);
-}
-
 TEST(PromLint, FlagsGrammarAndTypeViolations)
 {
     EXPECT_TRUE(promLint("").empty());

@@ -117,9 +117,9 @@ deriveConfig(Rng &rng, const Bvh &bvh)
     c.rt.repacker.capacity =
         2 * c.rt.warpSize + rng.nextBounded(c.rt.warpSize + 1);
     c.rt.repacker.timeout = 4 + rng.nextBounded(29);
-    c.rt.eventQueue = rng.nextBounded(2) == 0
-                          ? EventQueueImpl::Calendar
-                          : EventQueueImpl::LegacyHeap;
+    // Former queue-implementation draw: kept so every later field of a
+    // seed's config, and thus each --repro <seed>, stays unchanged.
+    (void)rng.nextBounded(2);
 
     c.predictor.enabled = rng.nextBounded(8) != 0; // mostly on
     std::uint32_t max_goup = bvh.maxDepth() < 6 ? bvh.maxDepth() : 6;
