@@ -168,8 +168,9 @@ main(int argc, char **argv)
     if (opt.sorted)
         sortRaysMorton(batch.rays, bvh.sceneBounds());
 
-    SimResult base = simulate(bvh, scene.mesh.triangles(), batch.rays,
-                              SimConfig::baseline());
+    SimResult base =
+        Simulation(SimConfig::baseline(), bvh, scene.mesh.triangles())
+            .run(batch.rays);
     std::printf("\nbaseline : %llu cycles, %.2f fetches/ray, hit %.1f%%\n",
                 static_cast<unsigned long long>(base.cycles),
                 static_cast<double>(base.totalMemAccesses()) /
@@ -178,8 +179,9 @@ main(int argc, char **argv)
                 base.hitRate() * 100);
 
     if (opt.predictor) {
-        SimResult pred = simulate(bvh, scene.mesh.triangles(),
-                                  batch.rays, SimConfig::proposed());
+        SimResult pred =
+            Simulation(SimConfig::proposed(), bvh, scene.mesh.triangles())
+                .run(batch.rays);
         std::printf("predictor: %llu cycles, %.2f fetches/ray  -> "
                     "%+.1f%% speedup\n",
                     static_cast<unsigned long long>(pred.cycles),

@@ -85,8 +85,8 @@ RayHasher::hashBits() const
     // grid key (3n bits) dominates for all configurations we sweep.
     // This is the *nominal* width — it may exceed 32 (e.g. 11 origin
     // bits = 33), in which case the stored 32-bit pattern simply has
-    // no bits above 31 and every consumer (foldHash, the combined
-    // hasher's rotation) saturates its shifts at the word width.
+    // no bits above 31 and every consumer (foldHash) saturates its
+    // shifts at the word width.
     int origin_bits = 3 * std::max(0, config_.originBits);
     if (config_.function == HashFunction::GridSpherical) {
         int dir_bits = 2 * std::max(0, config_.directionBits) + 1;

@@ -52,8 +52,8 @@ enum class HashFunction : std::uint8_t
  * defined range (origin n at 15, direction m at 30), so no
  * configuration — including negative or oversized bit counts — shifts
  * past the word width; within the previously defined range the
- * produced hashes are unchanged. Consumers of hashBits() (foldHash,
- * the combined hasher) likewise saturate their shifts at 32.
+ * produced hashes are unchanged. Consumers of hashBits() (foldHash)
+ * likewise saturate their shifts at 32.
  */
 struct HashConfig
 {

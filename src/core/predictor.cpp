@@ -41,12 +41,13 @@ RayPredictor::snapshotInto(TelemetrySmSample &out) const
     out.pred_trains = stats_.get(StatId::Trained);
 }
 
-RayPredictor::RayPredictor(const PredictorConfig &config, const Bvh &bvh)
+RayPredictor::RayPredictor(const PredictorConfig &config, const Bvh &bvh,
+                           std::uint16_t unit)
     : config_(config), bvh_(&bvh),
       hasher_(config.hash, bvh.sceneBounds()),
       table_(config.table, hasher_.hashBits()),
       lookupPorts_(std::max(1u, config.accessPorts), 0),
-      updatePorts_(std::max(1u, config.accessPorts), 0)
+      updatePorts_(std::max(1u, config.accessPorts), 0), unit_(unit)
 {
 }
 
@@ -88,8 +89,8 @@ RayPredictor::lookupInto(const Ray &ray, Cycle cycle,
         return false;
     }
     ready_cycle = schedulePort(lookupPorts_, cycle);
-    if (check_)
-        check_->require(
+    if (obs_.check)
+        obs_.check->require(
             ready_cycle >= cycle, "RayPredictor",
             "a lookup result is never ready before it was issued",
             [&] {
@@ -100,13 +101,13 @@ RayPredictor::lookupInto(const Ray &ray, Cycle cycle,
 
     std::uint32_t h = hasher_.hash(ray);
     bool hit = table_.lookupInto(h, nodes);
-    if (profile_)
-        profile_->notePredictorLookup(profUnit_, hit);
-    if (trace_)
-        trace_->emit({cycle, 0, TraceEventKind::PredictorLookup,
-                      traceUnit_,
-                      static_cast<std::uint16_t>(hit ? 1 : 0), h,
-                      nodes.size()});
+    if (obs_.profile)
+        obs_.profile->notePredictorLookup(unit_, hit);
+    if (obs_.trace)
+        obs_.trace->emit({cycle, 0, TraceEventKind::PredictorLookup,
+                          unit_,
+                          static_cast<std::uint16_t>(hit ? 1 : 0), h,
+                          nodes.size()});
     if (!hit)
         return false;
     stats_.inc(StatId::Predicted);
@@ -133,9 +134,9 @@ RayPredictor::update(const Ray &ray, std::uint32_t hit_leaf, Cycle cycle)
     std::uint32_t node = bvh_->ancestorOf(hit_leaf, config_.goUpLevel);
     std::uint32_t h = hasher_.hash(ray);
     table_.update(h, node);
-    if (trace_)
-        trace_->emit({cycle, 0, TraceEventKind::PredictorTrain,
-                      traceUnit_, 0, h, node});
+    if (obs_.trace)
+        obs_.trace->emit({cycle, 0, TraceEventKind::PredictorTrain,
+                          unit_, 0, h, node});
 }
 
 } // namespace rtp

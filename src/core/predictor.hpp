@@ -19,13 +19,12 @@
 #include "core/hash.hpp"
 #include "core/predictor_table.hpp"
 #include "mem/cache.hpp" // Cycle
+#include "util/observers.hpp"
 #include "util/stats.hpp"
 
 namespace rtp {
 
 struct TelemetrySmSample;
-class InvariantChecker;
-class CycleProfiler;
 
 /** Predictor unit configuration (Table 3 defaults). */
 struct PredictorConfig
@@ -53,7 +52,9 @@ struct Prediction
 class RayPredictor
 {
   public:
-    RayPredictor(const PredictorConfig &config, const Bvh &bvh);
+    /** @p unit = the owning SM, stamped on trace and profile probes. */
+    RayPredictor(const PredictorConfig &config, const Bvh &bvh,
+                 std::uint16_t unit = 0);
 
     /**
      * Timed lookup.
@@ -90,32 +91,24 @@ class RayPredictor
         return hasher_.hash(ray);
     }
 
-    /** Attach a trace sink (nullptr detaches); @p unit = owning SM. */
-    void
-    setTraceSink(TraceSink *sink, std::uint16_t unit)
-    {
-        trace_ = sink;
-        traceUnit_ = unit;
-    }
-
     /**
-     * Attach a cycle-attribution profiler (nullptr detaches); @p unit
-     * = owning SM. Every timed lookup then bumps the predictor meta
-     * tallies of util/profile.hpp (lookups and table hits), feeding
-     * the cost/benefit section of tools/cycles_report. Pure observer.
+     * Attach observers (an empty bundle detaches). Lookups and training
+     * updates are traced; every timed lookup bumps the predictor meta
+     * tallies of util/profile.hpp (lookups and table hits), feeding the
+     * cost/benefit section of tools/cycles_report; and the checker
+     * verifies that timed results never become ready before they were
+     * issued (port scheduling can delay, never time-travel).
      */
     void
-    setProfiler(CycleProfiler *profile, std::uint32_t unit)
+    attach(const Observers &obs)
     {
-        profile_ = profile;
-        profUnit_ = unit;
+        obs_ = obs;
     }
 
     /**
      * Telemetry probe: copy the cumulative lookup/hit/train counters
      * into the owning SM's sample row (see util/telemetry.hpp). Pure
-     * observer; a predictor shared by several SMs reports the same
-     * cumulative values on each.
+     * observer.
      */
     void snapshotInto(TelemetrySmSample &out) const;
 
@@ -141,17 +134,6 @@ class RayPredictor
     table() const
     {
         return table_;
-    }
-
-    /**
-     * Attach an invariant checker (nullptr detaches). Lookups then
-     * verify that timed results never become ready before they were
-     * issued (port scheduling can delay, never time-travel).
-     */
-    void
-    setChecker(InvariantChecker *check)
-    {
-        check_ = check;
     }
 
     /**
@@ -191,11 +173,8 @@ class RayPredictor
     std::vector<Cycle> lookupPorts_;
     std::vector<Cycle> updatePorts_;
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    std::uint16_t traceUnit_ = 0;
-    CycleProfiler *profile_ = nullptr;
-    std::uint32_t profUnit_ = 0;
-    InvariantChecker *check_ = nullptr;
+    std::uint16_t unit_;
+    Observers obs_;
 };
 
 } // namespace rtp

@@ -13,7 +13,7 @@ namespace rtp {
 void
 PartialWarpCollector::checkConservation(const char *site) const
 {
-    check_->require(
+    obs_.check->require(
         collectedIds_ ==
             emittedIds_ + droppedIds_ + pending_.size(),
         "PartialWarpCollector", site, [&] {
@@ -68,9 +68,9 @@ PartialWarpCollector::add(const std::vector<std::uint32_t> &ray_ids,
         }
     }
     stats_.inc(StatId::RaysCollected, ray_ids.size());
-    if (trace_ && !ray_ids.empty())
-        trace_->emit({cycle, 0, TraceEventKind::RepackCollect,
-                      traceUnit_, 0, 0, ray_ids.size()});
+    if (obs_.trace && !ray_ids.empty())
+        obs_.trace->emit({cycle, 0, TraceEventKind::RepackCollect,
+                          unit_, 0, 0, ray_ids.size()});
 
     // Forming a full warp consumes the oldest IDs only; the timeout of
     // every leftover ray stays anchored to its own insertion cycle
@@ -87,13 +87,13 @@ PartialWarpCollector::add(const std::vector<std::uint32_t> &ray_ids,
         emittedIds_ += config_.warpSize;
         warps.push_back(std::move(warp));
         stats_.inc(StatId::FullWarpsFormed);
-        if (profile_)
-            profile_->noteRepackFlush(profUnit_, config_.warpSize);
-        if (trace_)
-            trace_->emit({cycle, 0, TraceEventKind::RepackFlush,
-                          traceUnit_, 0, 0, config_.warpSize});
+        if (obs_.profile)
+            obs_.profile->noteRepackFlush(unit_, config_.warpSize);
+        if (obs_.trace)
+            obs_.trace->emit({cycle, 0, TraceEventKind::RepackFlush,
+                              unit_, 0, 0, config_.warpSize});
     }
-    if (check_)
+    if (obs_.check)
         checkConservation("add() conserves ray IDs");
     return warps;
 }
@@ -110,13 +110,13 @@ PartialWarpCollector::flushIfExpired(Cycle cycle)
     pending_.clear();
     emittedIds_ += warp.size();
     stats_.inc(StatId::TimeoutFlushes);
-    if (profile_)
-        profile_->noteRepackFlush(
-            profUnit_, static_cast<std::uint32_t>(warp.size()));
-    if (trace_)
-        trace_->emit({cycle, 0, TraceEventKind::RepackFlush,
-                      traceUnit_, 1, 0, warp.size()});
-    if (check_)
+    if (obs_.profile)
+        obs_.profile->noteRepackFlush(
+            unit_, static_cast<std::uint32_t>(warp.size()));
+    if (obs_.trace)
+        obs_.trace->emit({cycle, 0, TraceEventKind::RepackFlush,
+                          unit_, 1, 0, warp.size()});
+    if (obs_.check)
         checkConservation("flushIfExpired() conserves ray IDs");
     return warp;
 }
@@ -135,14 +135,14 @@ PartialWarpCollector::flushAll()
     emittedIds_ += warp.size();
     if (!warp.empty()) {
         stats_.inc(StatId::DrainFlushes);
-        if (profile_)
-            profile_->noteRepackFlush(
-                profUnit_, static_cast<std::uint32_t>(warp.size()));
-        if (trace_)
-            trace_->emit({at, 0, TraceEventKind::RepackFlush,
-                          traceUnit_, 2, 0, warp.size()});
+        if (obs_.profile)
+            obs_.profile->noteRepackFlush(
+                unit_, static_cast<std::uint32_t>(warp.size()));
+        if (obs_.trace)
+            obs_.trace->emit({at, 0, TraceEventKind::RepackFlush,
+                              unit_, 2, 0, warp.size()});
     }
-    if (check_)
+    if (obs_.check)
         checkConservation("flushAll() conserves ray IDs");
     return warp;
 }

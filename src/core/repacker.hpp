@@ -16,13 +16,12 @@
 #include <vector>
 
 #include "mem/cache.hpp" // Cycle
+#include "util/observers.hpp"
 #include "util/stats.hpp"
 
 namespace rtp {
 
 struct TelemetrySmSample;
-class InvariantChecker;
-class CycleProfiler;
 
 /** Collector configuration. */
 struct RepackerConfig
@@ -36,8 +35,10 @@ struct RepackerConfig
 class PartialWarpCollector
 {
   public:
-    explicit PartialWarpCollector(const RepackerConfig &config = {})
-        : config_(config)
+    /** @p unit = the owning SM, stamped on trace and profile probes. */
+    explicit PartialWarpCollector(const RepackerConfig &config = {},
+                                  std::uint16_t unit = 0)
+        : config_(config), unit_(unit)
     {}
 
     /**
@@ -86,35 +87,17 @@ class PartialWarpCollector
         return pending_.size();
     }
 
-    /** Attach a trace sink (nullptr detaches); @p unit = owning SM. */
-    void
-    setTraceSink(TraceSink *sink, std::uint16_t unit)
-    {
-        trace_ = sink;
-        traceUnit_ = unit;
-    }
-
     /**
-     * Attach a cycle-attribution profiler (nullptr detaches); @p unit
-     * = owning SM. Every emitted warp (full, timeout, or drain) then
-     * bumps the repack meta tallies of util/profile.hpp. Pure observer.
-     */
-    void
-    setProfiler(CycleProfiler *profile, std::uint32_t unit)
-    {
-        profile_ = profile;
-        profUnit_ = unit;
-    }
-
-    /**
-     * Attach an invariant checker (nullptr detaches). Every add/flush
-     * then re-verifies ray conservation: IDs in == IDs out + IDs
+     * Attach observers (an empty bundle detaches). Collections and
+     * flushes are traced; every emitted warp (full, timeout, or drain)
+     * bumps the repack meta tallies of util/profile.hpp; and every
+     * add/flush re-verifies ray conservation: IDs in == IDs out + IDs
      * pending, i.e. the repacker neither drops nor duplicates rays.
      */
     void
-    setChecker(InvariantChecker *check)
+    attach(const Observers &obs)
     {
-        check_ = check;
+        obs_ = obs;
     }
 
     /**
@@ -150,11 +133,8 @@ class PartialWarpCollector
     RepackerConfig config_;
     std::deque<Pending> pending_;
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    std::uint16_t traceUnit_ = 0;
-    CycleProfiler *profile_ = nullptr;
-    std::uint32_t profUnit_ = 0;
-    InvariantChecker *check_ = nullptr;
+    std::uint16_t unit_;
+    Observers obs_;
     // Conservation ledger: plain members, not StatGroup counters, so
     // the stats JSON stays byte-identical with checking off (the
     // zero-perturbation contract). Cheap enough to maintain always.

@@ -46,7 +46,7 @@ struct RunOutcome
 };
 
 /**
- * One independent simulation run of a sweep: everything simulate()
+ * One independent simulation run of a sweep: everything a Simulation
  * needs, by reference. The referenced BVH / triangles / rays must stay
  * alive and unmodified for the duration of the sweep (they are shared
  * read-only across worker threads).

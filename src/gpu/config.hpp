@@ -42,10 +42,11 @@ struct SimConfig
 
     /**
      * Optional cycle-level trace sink (not owned; nullptr = tracing
-     * off). Attached to every component before the event loop runs.
-     * Tracing is a pure observer: simulated cycles and statistics are
-     * identical with and without a sink. The sink is single-threaded —
-     * trace at most one simulate() call per sink at a time.
+     * off). Attached to every component for the duration of each run
+     * (util/observers.hpp). Tracing is a pure observer: simulated
+     * cycles and statistics are identical with and without a sink. The
+     * sink is single-threaded — trace at most one Simulation::run call
+     * per sink at a time.
      */
     TraceSink *trace = nullptr;
 
@@ -55,14 +56,14 @@ struct SimConfig
      * before the event loop runs and fed at event-boundary granularity;
      * see util/telemetry.hpp. Like tracing, sampling is a pure
      * observer: simulated cycles and statistics are byte-identical with
-     * and without a sampler. Single-threaded — at most one simulate()
-     * call per sampler at a time.
+     * and without a sampler. Single-threaded — at most one
+     * Simulation::run call per sampler at a time.
      */
     TelemetrySampler *telemetry = nullptr;
 
     /**
      * Optional invariant checker (not owned; nullptr = checking off).
-     * Attached to every component before the event loop runs; probes
+     * Attached to every component for the duration of each run; probes
      * then enforce conservation laws at event boundaries, the driver
      * runs an end-of-run accounting sweep, and every completed ray is
      * cross-checked against the recursive reference-traversal oracle
@@ -70,23 +71,23 @@ struct SimConfig
      * full context dump. Same pure-observer contract as trace and
      * telemetry: simulated cycles, statistics, and per-ray results are
      * byte-identical with and without a checker. Single-threaded — at
-     * most one simulate() call per checker at a time.
+     * most one Simulation::run call per checker at a time.
      */
     InvariantChecker *check = nullptr;
 
     /**
      * Optional per-cycle attribution profiler (not owned; nullptr =
      * profiling off). Attached to the RT units, memory hierarchy,
-     * predictors, and collectors before the event loop runs; every SM
+     * predictors, and collectors for the duration of each run; every SM
      * cycle is classified into exactly one exclusive category (see
      * util/profile.hpp) and the driver asserts the conservation law
      * through SimConfig::check when both are attached. Same
      * pure-observer contract as trace/telemetry/check: simulated
      * cycles, statistics, and per-ray results are byte-identical with
      * and without a profiler, at any simThreads.
-     * Single-threaded driver contract — at most one simulate() call
-     * per profiler at a time (per-SM slices are only touched by the
-     * worker that owns the SM).
+     * Single-threaded — at most one Simulation::run call per profiler
+     * at a time (per-SM slices are only touched by the worker that owns
+     * the SM).
      */
     CycleProfiler *profile = nullptr;
 

@@ -17,7 +17,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 namespace rtp {
 
@@ -166,6 +165,26 @@ throwStuckUnit(std::uint32_t sm, Cycle now, std::uint64_t outstanding)
 }
 
 /**
+ * Attach one observer bundle per SM to its RT unit (which forwards it
+ * to its buffer, queue, collector and predictor) and to its slice of
+ * the memory system. SM s reports to @p sinks[s] instead of
+ * @p obs.trace when @p sinks is non-empty (the sharded loop's shard
+ * sinks); an empty @p obs detaches everything.
+ */
+void
+attachObservers(std::vector<std::unique_ptr<RtUnit>> &units,
+                MemorySystem &mem, Observers obs,
+                const std::vector<TraceSink *> &sinks = {})
+{
+    for (std::uint32_t s = 0; s < units.size(); ++s) {
+        if (!sinks.empty())
+            obs.trace = sinks[s];
+        units[s]->attach(obs);
+        mem.attach(s, obs);
+    }
+}
+
+/**
  * The sequential reference event loop: always advance the SM with the
  * earliest pending event, ties to the lowest SM index. The sharded
  * loop reproduces exactly this order at the shared-memory seam, so
@@ -269,7 +288,6 @@ runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units,
  */
 void
 runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
-               const std::vector<RayPredictor *> &predictors,
                MemorySystem &mem, const SimConfig &config,
                std::uint32_t num_workers)
 {
@@ -292,13 +310,9 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
             shard_sinks.back()->enableOrderTagging();
             sink_ptrs.push_back(shard_sinks.back().get());
         }
-        mem.setShardTraceSinks(sink_ptrs);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            units[s]->setTraceSink(sink_ptrs[s]);
-            if (predictors[s])
-                predictors[s]->setTraceSink(
-                    sink_ptrs[s], static_cast<std::uint16_t>(s));
-        }
+        attachObservers(units, mem,
+                        {config.trace, config.profile, config.check},
+                        sink_ptrs);
     }
     mem.setShardGate(&gate);
 
@@ -471,49 +485,18 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     if (config.trace) {
         // Stable (cycle, sm) merge of the shard streams into the real
         // ring sink reproduces the sequential emission order, including
-        // ring-wrap and drop accounting. Point the components back at
-        // the real sink afterwards so post-loop state is identical to
-        // the sequential path's.
+        // ring-wrap and drop accounting. The shard sinks die here;
+        // nothing emits between this return and runEventLoop's detach.
         std::vector<const TraceSink *> shards(sink_ptrs.begin(),
                                               sink_ptrs.end());
         TraceSink::mergeTaggedShards(shards, *config.trace);
-        mem.setShardTraceSinks({});
-        mem.setTraceSink(config.trace);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            units[s]->setTraceSink(config.trace);
-            if (predictors[s])
-                predictors[s]->setTraceSink(
-                    config.trace, static_cast<std::uint16_t>(s));
-        }
     }
 }
 
 /**
- * Worker count for one run: min(simThreads, numSms), falling back to
- * the sequential loop (0 = sequential) when sharding cannot apply —
- * fewer than two effective workers, or one predictor object bound to
- * several SMs (expert mode), which breaks the per-SM-private-state
- * assumption the shard protocol rests on.
- */
-std::uint32_t
-effectiveShardWorkers(const SimConfig &config,
-                      const std::vector<RayPredictor *> &predictors)
-{
-    std::uint32_t w =
-        std::min<std::uint32_t>(config.simThreads, config.numSms);
-    if (w < 2)
-        return 0;
-    std::unordered_set<const RayPredictor *> seen;
-    for (const RayPredictor *p : predictors)
-        if (p && !seen.insert(p).second)
-            return 0; // shared predictor: sequential fallback
-    return w;
-}
-
-/**
  * Shared driver: distribute rays, run the global event loop, gather
- * results. @p units holds one RT unit per SM; @p predictors (possibly
- * null entries) are read for stats merging and trace routing.
+ * results. @p units holds one RT unit per SM; @p predictors (one per
+ * SM, null entries when prediction is off) are read for stats merging.
  */
 SimResult
 runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
@@ -527,26 +510,23 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         distributeRays(rays, config.rt.warpSize, num_sms);
     std::vector<std::vector<Ray>> &per_sm_rays = dist.rays;
     std::vector<std::vector<std::uint32_t>> &per_sm_ids = dist.ids;
-    if (config.trace) {
-        mem.setTraceSink(config.trace);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            units[s]->setTraceSink(config.trace);
-            if (predictors[s])
-                predictors[s]->setTraceSink(
-                    config.trace, static_cast<std::uint16_t>(s));
-        }
-    }
+
+    // Attach every run's bundle unconditionally and detach on every
+    // exit: predictors in a PredictorSet outlive the run, and must
+    // never keep reporting to a previous run's observers.
+    attachObservers(units, mem,
+                    {config.trace, config.profile, config.check});
+    struct Detach
+    {
+        std::vector<std::unique_ptr<RtUnit>> &units;
+        MemorySystem &mem;
+        ~Detach() { attachObservers(units, mem, {}); }
+    } detach{units, mem};
+
     InvariantChecker *check = config.check;
-    if (check) {
+    if (check)
         check->setContext(describe(config) + ", " +
                           std::to_string(rays.size()) + " rays");
-        mem.setChecker(check);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            units[s]->setChecker(check);
-            if (predictors[s])
-                predictors[s]->setChecker(check);
-        }
-    }
     TelemetrySampler *telemetry = config.telemetry;
     if (telemetry) {
         std::vector<const RtUnit *> probes;
@@ -558,12 +538,6 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     CycleProfiler *profile = config.profile;
     if (profile)
         profile->attach(num_sms);
-    // Always propagate (nullptr detaches): external predictors persist
-    // across runs, so a profiled run followed by an unprofiled one must
-    // actively clear the stale probe pointer.
-    mem.setProfiler(profile);
-    for (std::uint32_t s = 0; s < num_sms; ++s)
-        units[s]->setProfiler(profile);
 
     for (std::uint32_t s = 0; s < num_sms; ++s) {
         if (!per_sm_rays[s].empty())
@@ -571,26 +545,21 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
     }
 
     std::uint32_t shard_workers =
-        effectiveShardWorkers(config, predictors);
+        std::min<std::uint32_t>(config.simThreads, num_sms);
     if (shard_workers >= 2)
-        runShardedLoop(units, predictors, mem, config, shard_workers);
+        runShardedLoop(units, mem, config, shard_workers);
     else
         runSequentialLoop(units, telemetry);
 
     SimResult result;
     result.rayResults.resize(rays.size());
     double simt_acc = 0.0;
-    // Callers may bind one predictor object to several SMs; merge each
-    // distinct predictor exactly once or its counters get multiplied by
-    // the number of SMs sharing it.
-    std::unordered_set<const RayPredictor *> merged_predictors;
     for (std::uint32_t s = 0; s < num_sms; ++s) {
         const RtUnit &rt = *units[s];
         result.cycles = std::max(result.cycles, rt.completionCycle());
         result.stats.merge(rt.stats());
         result.stats.merge(rt.intersectionUnit().stats());
-        if (predictors[s] &&
-            merged_predictors.insert(predictors[s]).second)
+        if (predictors[s])
             result.stats.merge(predictors[s]->stats());
         simt_acc += rt.simtEfficiency();
         // Each RT unit fills exactly the global ids it was assigned.
@@ -635,8 +604,8 @@ PredictorSet::bind(const PredictorConfig &config, std::uint32_t num_sms,
         // First bind (or an SM-count change): build fresh predictors.
         predictors_.clear();
         for (std::uint32_t i = 0; i < num_sms; ++i)
-            predictors_.push_back(
-                std::make_unique<RayPredictor>(config, bvh));
+            predictors_.push_back(std::make_unique<RayPredictor>(
+                config, bvh, static_cast<std::uint16_t>(i)));
         return;
     }
     for (auto &p : predictors_) {
@@ -675,16 +644,7 @@ Simulation::Simulation(const SimConfig &config, const Bvh &bvh,
                        const std::vector<Triangle> &triangles,
                        PredictorSet &predictors)
     : config_(config), bvh_(&bvh), triangles_(&triangles),
-      externalSet_(&predictors), externalMode_(true)
-{
-    config_.validate(bvh);
-}
-
-Simulation::Simulation(const SimConfig &config, const Bvh &bvh,
-                       const std::vector<Triangle> &triangles,
-                       std::vector<RayPredictor *> predictors)
-    : config_(config), bvh_(&bvh), triangles_(&triangles),
-      externalPreds_(std::move(predictors)), externalMode_(true)
+      externalSet_(&predictors)
 {
     config_.validate(bvh);
 }
@@ -703,17 +663,13 @@ Simulation::run(const std::vector<Ray> &rays)
         for (std::uint32_t i = 0;
              i < config_.numSms && i < ext.size(); ++i)
             preds[i] = ext[i];
-    } else if (externalMode_) {
-        for (std::uint32_t i = 0;
-             i < config_.numSms && i < externalPreds_.size(); ++i)
-            preds[i] = externalPreds_[i];
     } else if (config_.predictor.enabled) {
         // Self-contained: cold predictors per run, so repeated runs are
         // independent and the call is thread-compatible with other
         // Simulations sharing the scene.
         for (std::uint32_t i = 0; i < config_.numSms; ++i) {
             owned.push_back(std::make_unique<RayPredictor>(
-                config_.predictor, *bvh_));
+                config_.predictor, *bvh_, static_cast<std::uint16_t>(i)));
             preds[i] = owned.back().get();
         }
     }
@@ -724,23 +680,6 @@ Simulation::run(const std::vector<Ray> &rays)
             config_.rt, *bvh_, *triangles_, mem, i, preds[i]));
     return runEventLoop(units, preds, mem, rays, config_, *bvh_,
                         *triangles_);
-}
-
-SimResult
-simulate(const Bvh &bvh, const std::vector<Triangle> &triangles,
-         const std::vector<Ray> &rays, const SimConfig &config)
-{
-    return Simulation(config, bvh, triangles).run(rays);
-}
-
-SimResult
-simulateWithPredictors(const Bvh &bvh,
-                       const std::vector<Triangle> &triangles,
-                       const std::vector<Ray> &rays,
-                       const SimConfig &config,
-                       const std::vector<RayPredictor *> &predictors)
-{
-    return Simulation(config, bvh, triangles, predictors).run(rays);
 }
 
 } // namespace rtp

@@ -12,20 +12,20 @@ namespace rtp {
 void
 CacheModel::noteProfile(bool hit)
 {
-    if (profLevel_ == 1)
-        profile_->noteL1Access(profUnit_, hit);
+    if (level_ == 1)
+        obs_.profile->noteL1Access(unit_, hit);
     else
-        profile_->noteL2Access(hit);
+        obs_.profile->noteL2Access(hit);
 }
 
 void
 CacheModel::checkAccess(const CacheAccess &res, Cycle cycle)
 {
     accessesChecked_++;
-    check_->require(!(res.hit && res.merged), "CacheModel",
-                    "an access is never both a hit and an MSHR merge",
-                    [&] { return "cache " + config_.name; });
-    check_->require(
+    obs_.check->require(!(res.hit && res.merged), "CacheModel",
+                        "an access is never both a hit and an MSHR merge",
+                        [&] { return "cache " + config_.name; });
+    obs_.check->require(
         res.readyCycle >= cycle, "CacheModel",
         "data is never ready before the access issued", [&] {
             return "cache " + config_.name + ": issued at cycle " +
@@ -61,7 +61,9 @@ CacheModel::checkFinalState(InvariantChecker &check) const
                   });
 }
 
-CacheModel::CacheModel(CacheConfig config) : config_(std::move(config))
+CacheModel::CacheModel(CacheConfig config, std::uint16_t unit,
+                       std::uint16_t level)
+    : config_(std::move(config)), unit_(unit), level_(level)
 {
     std::uint32_t num_lines =
         std::max(1u, config_.sizeBytes / config_.lineBytes);
@@ -129,23 +131,23 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
             res.merged = true;
             res.readyCycle = l.readyAt + config_.hitLatency;
             stats_.inc(StatId::MshrMerges);
-            if (trace_)
-                trace_->emit({cycle, 0,
-                              TraceEventKind::CacheMshrMerge,
-                              traceUnit_, traceLevel_, addr,
-                              l.readyAt - cycle});
+            if (obs_.trace)
+                obs_.trace->emit({cycle, 0,
+                                  TraceEventKind::CacheMshrMerge,
+                                  unit_, level_, addr,
+                                  l.readyAt - cycle});
         } else {
             res.hit = true;
             res.readyCycle = cycle + config_.hitLatency;
             stats_.inc(StatId::Hits);
-            if (profile_)
+            if (obs_.profile)
                 noteProfile(true);
-            if (trace_)
-                trace_->emit({cycle, 0, TraceEventKind::CacheHit,
-                              traceUnit_, traceLevel_, addr,
-                              config_.hitLatency});
+            if (obs_.trace)
+                obs_.trace->emit({cycle, 0, TraceEventKind::CacheHit,
+                                  unit_, level_, addr,
+                                  config_.hitLatency});
         }
-        if (check_)
+        if (obs_.check)
             checkAccess(res, cycle);
         return res;
     }
@@ -157,7 +159,7 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
     // already on its way, and the line's ready time gets silently
     // replaced by the new fill's.
     stats_.inc(StatId::Misses);
-    if (profile_)
+    if (obs_.profile)
         noteProfile(false);
     std::uint32_t victim = kNoWay;
     bool skipped_inflight = false;
@@ -180,14 +182,14 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
         stats_.inc(StatId::InflightBypasses);
         Cycle fill_ready = fill(line * config_.lineBytes, cycle);
         stats_.addSample(HistId::MissLatency, fill_ready - cycle);
-        if (trace_)
-            trace_->emit({cycle, 0,
-                          TraceEventKind::CacheInflightBypass,
-                          traceUnit_, traceLevel_, addr,
-                          fill_ready - cycle});
+        if (obs_.trace)
+            obs_.trace->emit({cycle, 0,
+                              TraceEventKind::CacheInflightBypass,
+                              unit_, level_, addr,
+                              fill_ready - cycle});
         CacheAccess res;
         res.readyCycle = fill_ready + config_.hitLatency;
-        if (check_)
+        if (obs_.check)
             checkAccess(res, cycle);
         return res;
     }
@@ -203,13 +205,13 @@ CacheModel::access(std::uint64_t addr, Cycle cycle, FillRef fill)
     set.tagToWay.emplace(tag, victim);
     l.readyAt = fill(line * config_.lineBytes, cycle);
     stats_.addSample(HistId::MissLatency, l.readyAt - cycle);
-    if (trace_)
-        trace_->emit({cycle, 0, TraceEventKind::CacheMiss, traceUnit_,
-                      traceLevel_, addr, l.readyAt - cycle});
+    if (obs_.trace)
+        obs_.trace->emit({cycle, 0, TraceEventKind::CacheMiss, unit_,
+                          level_, addr, l.readyAt - cycle});
 
     CacheAccess res;
     res.readyCycle = l.readyAt + config_.hitLatency;
-    if (check_)
+    if (obs_.check)
         checkAccess(res, cycle);
     return res;
 }

@@ -24,13 +24,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/observers.hpp"
 #include "util/stats.hpp"
 
 namespace rtp {
-
-class TraceSink;
-class InvariantChecker;
-class CycleProfiler;
 
 /** Cycle count type used by all timing models. */
 using Cycle = std::uint64_t;
@@ -101,7 +98,13 @@ class CacheModel
     using FillFn = std::function<Cycle(std::uint64_t line_addr,
                                        Cycle cycle)>;
 
-    explicit CacheModel(CacheConfig config);
+    /**
+     * @p unit and @p level identify this cache instance on trace and
+     * profile probes: an L1 is its owning SM's unit at level 1, the
+     * shared L2 is unit 0 at level 2.
+     */
+    explicit CacheModel(CacheConfig config, std::uint16_t unit = 0,
+                        std::uint16_t level = 1);
 
     /**
      * Access one address at @p cycle.
@@ -115,34 +118,23 @@ class CacheModel
     bool contains(std::uint64_t addr) const;
 
     /**
-     * Attach a trace sink (nullptr detaches; emission then costs one
-     * branch). @p unit identifies this cache instance in events (the
-     * owning SM for an L1), @p level the hierarchy level (1 or 2).
+     * Attach observers (an empty bundle detaches). Hits, misses, MSHR
+     * merges and bypasses are traced; the profiler gets the hit/miss
+     * meta tallies of util/profile.hpp (an L1 reports into its owning
+     * SM's slice, safe for the sharded loop since only that SM's
+     * worker touches it; the shared L2 is only probed inside the
+     * ShardGate's serialised seam); and the checker verifies every
+     * access (never both a hit and an MSHR merge, data never ready
+     * before the access issued) and counts accesses so the end-of-run
+     * sweep can balance the books. A different checker restarts that
+     * count.
      */
     void
-    setTraceSink(TraceSink *sink, std::uint16_t unit,
-                 std::uint16_t level)
+    attach(const Observers &obs)
     {
-        trace_ = sink;
-        traceUnit_ = unit;
-        traceLevel_ = level;
-    }
-
-    /**
-     * Attach a cycle-attribution profiler (nullptr detaches) for the
-     * hit/miss meta tallies of util/profile.hpp. @p unit and @p level
-     * mirror setTraceSink: an L1 reports its owning SM as the unit
-     * with level 1 (safe for the sharded loop — only that SM's worker
-     * touches it); the shared L2 reports level 2 and is only probed
-     * inside the ShardGate's serialised seam. Pure observer.
-     */
-    void
-    setProfiler(CycleProfiler *profile, std::uint16_t unit,
-                std::uint16_t level)
-    {
-        profile_ = profile;
-        profUnit_ = unit;
-        profLevel_ = level;
+        if (obs.check != obs_.check)
+            accessesChecked_ = 0;
+        obs_ = obs;
     }
 
     /**
@@ -186,20 +178,6 @@ class CacheModel
 
     /** Empty the cache (keeps statistics). */
     void reset();
-
-    /**
-     * Attach an invariant checker (nullptr detaches). Every access then
-     * verifies per-access sanity (an access is never both a hit and an
-     * MSHR merge; data is never ready before the access issued), and
-     * the checker counts accesses so the end-of-run sweep can balance
-     * the books.
-     */
-    void
-    setChecker(InvariantChecker *check)
-    {
-        check_ = check;
-        accessesChecked_ = 0;
-    }
 
     /**
      * End-of-run sweep: every access must be accounted exactly once as
@@ -248,13 +226,9 @@ class CacheModel
     void noteProfile(bool hit);
 
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    std::uint16_t traceUnit_ = 0;
-    std::uint16_t traceLevel_ = 0;
-    CycleProfiler *profile_ = nullptr;
-    std::uint16_t profUnit_ = 0;
-    std::uint16_t profLevel_ = 0;
-    InvariantChecker *check_ = nullptr;
+    std::uint16_t unit_;
+    std::uint16_t level_;
+    Observers obs_;
     std::uint64_t accessesChecked_ = 0; //!< only counted while checking
 };
 

@@ -43,18 +43,18 @@ DramModel::access(std::uint64_t addr, Cycle cycle)
         row_hit ? config_.rowHitLatency : config_.rowMissLatency;
     stats_.inc(row_hit ? StatId::RowHits : StatId::RowMisses);
     stats_.inc(StatId::Accesses);
-    if (profile_)
-        profile_->noteDramAccess(row_hit);
+    if (obs_.profile)
+        obs_.profile->noteDramAccess(row_hit);
 
     bank.openRow = row;
     bank.busyUntil = start + config_.burstOccupancy;
     Cycle done = start + latency;
     stats_.addSample(HistId::Latency, done - cycle);
-    if (trace_)
-        trace_->emit({cycle, done - cycle, TraceEventKind::DramAccess,
-                      static_cast<std::uint16_t>(bank_idx),
-                      static_cast<std::uint16_t>(row_hit ? 1 : 0),
-                      addr, busy});
+    if (obs_.trace)
+        obs_.trace->emit({cycle, done - cycle, TraceEventKind::DramAccess,
+                          static_cast<std::uint16_t>(bank_idx),
+                          static_cast<std::uint16_t>(row_hit ? 1 : 0),
+                          addr, busy});
     return done;
 }
 

@@ -13,12 +13,12 @@
 #include <vector>
 
 #include "mem/cache.hpp" // for Cycle
+#include "util/observers.hpp"
 #include "util/stats.hpp"
 
 namespace rtp {
 
 struct TelemetryGlobalSample;
-class CycleProfiler;
 
 /** DRAM timing configuration (cycles in the memory clock domain are
  *  approximated in core cycles for simplicity). */
@@ -53,25 +53,18 @@ class DramModel
      */
     double avgBusyBanks() const;
 
-    /** Attach a trace sink (nullptr detaches). Events carry the bank
-     *  index as their unit and the arrival-time busy-bank count. */
-    void
-    setTraceSink(TraceSink *sink)
-    {
-        trace_ = sink;
-    }
-
     /**
-     * Attach a cycle-attribution profiler (nullptr detaches) for the
-     * access/row-hit meta tallies of util/profile.hpp. DRAM is shared,
-     * but it is only reached through a true L1 miss, which the sharded
-     * loop serialises through the ShardGate — so the probe never races.
-     * Pure observer.
+     * Attach observers (an empty bundle detaches; DRAM has no checker
+     * probes). Trace events carry the bank index as their unit and the
+     * arrival-time busy-bank count; the profiler gets the access/
+     * row-hit meta tallies of util/profile.hpp. DRAM is shared, but it
+     * is only reached through a true L1 miss, which the sharded loop
+     * serialises through the ShardGate — so the probes never race.
      */
     void
-    setProfiler(CycleProfiler *profile)
+    attach(const Observers &obs)
     {
-        profile_ = profile;
+        obs_ = obs;
     }
 
     const StatGroup &
@@ -106,8 +99,7 @@ class DramModel
     DramConfig config_;
     std::vector<Bank> banks_;
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    CycleProfiler *profile_ = nullptr;
+    Observers obs_;
     std::uint64_t busySamples_ = 0;
     std::uint64_t busyAccum_ = 0;
 };

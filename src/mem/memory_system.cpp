@@ -1,21 +1,19 @@
 #include "mem/memory_system.hpp"
 
-#include <utility>
-
 #include "gpu/shard.hpp"
 #include "util/profile.hpp"
 #include "util/telemetry.hpp"
-#include "util/trace.hpp"
 
 namespace rtp {
 
 MemorySystem::MemorySystem(const MemoryConfig &config,
                            std::uint32_t num_sms)
-    : config_(config), dram_(config.dram)
+    : config_(config), dram_(config.dram), observers_(num_sms)
 {
     for (std::uint32_t i = 0; i < num_sms; ++i)
-        l1s_.push_back(std::make_unique<CacheModel>(config.l1));
-    l2_ = std::make_unique<CacheModel>(config.l2);
+        l1s_.push_back(std::make_unique<CacheModel>(
+            config.l1, static_cast<std::uint16_t>(i), 1));
+    l2_ = std::make_unique<CacheModel>(config.l2, 0, 2);
 }
 
 MemAccess
@@ -23,6 +21,7 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
 {
     MemAccess result;
     result.servedBy = MemLevel::L1;
+    const Observers &obs = observers_[sm];
 
     auto l2_fill = [&](std::uint64_t line_addr, Cycle c) -> Cycle {
         result.servedBy = MemLevel::Dram;
@@ -37,16 +36,13 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
         // have reached this access; until the owning worker publishes
         // progress past this step, no other SM's later access can
         // enter, so the whole fill (L2 lookup + DRAM) is exclusive.
-        if (gate_) {
+        if (gate_)
             gate_->waitTurn(sm);
-            if (!shardSinks_.empty()) {
-                // Shared-level trace events must carry the order key
-                // of the step that caused them: route the L2 and DRAM
-                // into the requesting SM's tagged sink for this fill.
-                l2_->setTraceSink(shardSinks_[sm], 0, 2);
-                dram_.setTraceSink(shardSinks_[sm]);
-            }
-        }
+        // Shared-level events belong to the step that caused them:
+        // route the L2 and DRAM to the requesting SM's bundle (its
+        // order-tagged shard sink in the sharded loop) for this fill.
+        l2_->attach(obs);
+        dram_.attach(obs);
         if (!config_.l2Enabled) {
             result.servedBy = MemLevel::Dram;
             return dram_.access(line_addr, c + config_.l1ToL2Latency +
@@ -63,8 +59,8 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
     result.l1MshrMerged = l1_res.merged;
     if (l1_res.merged)
         result.servedBy = MemLevel::L1;
-    if (profile_)
-        profile_->noteMemLevel(
+    if (obs.profile)
+        obs.profile->noteMemLevel(
             sm, result.servedBy == MemLevel::Dram
                     ? 3
                     : (result.servedBy == MemLevel::L2 ? 2 : 1));
@@ -72,41 +68,14 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
 }
 
 void
-MemorySystem::setTraceSink(TraceSink *sink)
+MemorySystem::attach(std::uint32_t sm, const Observers &obs)
 {
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        l1s_[i]->setTraceSink(sink, static_cast<std::uint16_t>(i), 1);
-    l2_->setTraceSink(sink, 0, 2);
-    dram_.setTraceSink(sink);
-}
-
-void
-MemorySystem::setShardTraceSinks(std::vector<TraceSink *> sinks)
-{
-    shardSinks_ = std::move(sinks);
-    if (shardSinks_.empty())
-        return;
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        l1s_[i]->setTraceSink(shardSinks_[i],
-                              static_cast<std::uint16_t>(i), 1);
-}
-
-void
-MemorySystem::setProfiler(CycleProfiler *profile)
-{
-    profile_ = profile;
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        l1s_[i]->setProfiler(profile, static_cast<std::uint16_t>(i), 1);
-    l2_->setProfiler(profile, 0, 2);
-    dram_.setProfiler(profile);
-}
-
-void
-MemorySystem::setChecker(InvariantChecker *check)
-{
-    for (auto &l1 : l1s_)
-        l1->setChecker(check);
-    l2_->setChecker(check);
+    observers_[sm] = obs;
+    l1s_[sm]->attach(obs);
+    // Every fill re-points the shared levels (see access()); attaching
+    // them here as well makes an empty bundle detach the whole system.
+    l2_->attach(obs);
+    dram_.attach(obs);
 }
 
 void

@@ -12,13 +12,12 @@
 
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
+#include "util/observers.hpp"
 
 namespace rtp {
 
 struct TelemetryGlobalSample;
 class ShardGate;
-class TraceSink;
-class CycleProfiler;
 
 /** Where a request was ultimately served from. */
 enum class MemLevel : std::uint8_t
@@ -92,28 +91,18 @@ class MemorySystem
     }
 
     /**
-     * Attach a trace sink to every level (nullptr detaches): each L1
-     * reports its SM index as the event unit with level 1, the L2 unit
-     * 0 with level 2, DRAM its bank index.
+     * Attach SM @p sm's observers (an empty bundle detaches) to its L1
+     * and to the accesses it issues: the level that served each access
+     * goes to the profiler's L1/L2/DRAM stall classification in that
+     * SM's slice. The shared L2 and DRAM report to the bundle of the SM
+     * whose fill reaches them; they are re-pointed at the top of every
+     * fill, inside the ShardGate's serialised seam in the sharded loop,
+     * so an SM whose bundle carries an order-tagged shard sink gets the
+     * shared-level events its steps caused. Trace events carry fixed
+     * ids: L1 i is unit i at level 1, the L2 unit 0 at level 2, DRAM
+     * its bank index.
      */
-    void setTraceSink(TraceSink *sink);
-
-    /**
-     * Attach an invariant checker to every cache level (nullptr
-     * detaches); see CacheModel::setChecker.
-     */
-    void setChecker(InvariantChecker *check);
-
-    /**
-     * Attach a cycle-attribution profiler to every level (nullptr
-     * detaches). Each access then reports the level that served it —
-     * the input of the profiler's L1/L2/DRAM stall classification —
-     * into the issuing SM's slice, and the caches and DRAM feed their
-     * hit/row-hit meta tallies. Pure observer; sharded-loop safe (the
-     * per-SM slice belongs to the issuing worker, and the shared
-     * L2/DRAM probes only fire inside the gated seam).
-     */
-    void setProfiler(CycleProfiler *profile);
+    void attach(std::uint32_t sm, const Observers &obs);
 
     /**
      * Attach the sharded event loop's ordering gate (nullptr detaches).
@@ -128,16 +117,6 @@ class MemorySystem
     {
         gate_ = gate;
     }
-
-    /**
-     * Route trace emission through per-SM order-tagged shard sinks
-     * (empty vector detaches): L1 i emits into sinks[i] permanently,
-     * while the L2 and DRAM sinks are swapped to the requesting SM's
-     * sink at the top of each gated fill, so shared-level events carry
-     * the order key of the step that caused them. Caller keeps
-     * ownership; one sink per SM, indexed by SM id.
-     */
-    void setShardTraceSinks(std::vector<TraceSink *> sinks);
 
     /** End-of-run sweep over every L1 and the L2 (when enabled). */
     void checkFinalState(InvariantChecker &check) const;
@@ -168,9 +147,8 @@ class MemorySystem
     std::vector<std::unique_ptr<CacheModel>> l1s_;
     std::unique_ptr<CacheModel> l2_;
     DramModel dram_;
-    ShardGate *gate_ = nullptr;            //!< sharded loop only
-    std::vector<TraceSink *> shardSinks_;  //!< per-SM tagged sinks
-    CycleProfiler *profile_ = nullptr;     //!< attribution probes
+    ShardGate *gate_ = nullptr;         //!< sharded loop only
+    std::vector<Observers> observers_;  //!< per SM, index = SM id
 };
 
 } // namespace rtp

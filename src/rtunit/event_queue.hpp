@@ -27,10 +27,9 @@
 #include <vector>
 
 #include "mem/cache.hpp" // Cycle
+#include "util/observers.hpp"
 
 namespace rtp {
-
-class InvariantChecker;
 
 /** What a popped RT unit event means. */
 enum class RtEventKind : std::uint8_t
@@ -85,14 +84,15 @@ class EventQueue
     RtEvent pop();
 
     /**
-     * Attach an invariant checker (nullptr detaches). The queue then
-     * verifies on every pop that event cycles never move backwards —
-     * the total-order guarantee the whole simulation rests on.
+     * Attach observers (an empty bundle detaches; only the checker has
+     * probes here). The queue then verifies on every pop that event
+     * cycles never move backwards — the total-order guarantee the whole
+     * simulation rests on.
      */
     void
-    setChecker(InvariantChecker *check)
+    attach(const Observers &obs)
     {
-        check_ = check;
+        check_ = obs.check;
     }
 
   private:

@@ -18,10 +18,9 @@
 #include "geometry/ray.hpp"
 #include "mem/cache.hpp" // Cycle
 #include "rtunit/traversal_stack.hpp"
+#include "util/observers.hpp"
 
 namespace rtp {
-
-class InvariantChecker;
 
 /** Traversal phase of a resident ray. */
 enum class RayPhase : std::uint8_t
@@ -112,15 +111,15 @@ class RayBuffer
     }
 
     /**
-     * Attach an invariant checker (nullptr detaches). Every release()
-     * then scans the free list for double-frees and out-of-range slot
-     * indices — the two corruptions that silently shrink or alias the
-     * resident-ray pool.
+     * Attach observers (an empty bundle detaches; only the checker has
+     * probes here). Every release() then scans the free list for
+     * double-frees and out-of-range slot indices — the two corruptions
+     * that silently shrink or alias the resident-ray pool.
      */
     void
-    setChecker(InvariantChecker *check)
+    attach(const Observers &obs)
     {
-        check_ = check;
+        check_ = obs.check;
     }
 
     /**

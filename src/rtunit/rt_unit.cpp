@@ -26,42 +26,36 @@ profRayType(RayKind kind)
 } // namespace
 
 void
-RtUnit::setChecker(InvariantChecker *check)
+RtUnit::attach(const Observers &obs)
 {
-    check_ = check;
-    buffer_.setChecker(check);
-    events_.setChecker(check);
-    collector_.setChecker(check);
-}
-
-void
-RtUnit::setProfiler(CycleProfiler *profile)
-{
-    profile_ = profile;
-    collector_.setProfiler(profile, smId_);
+    obs_ = obs;
+    buffer_.attach(obs);
+    events_.attach(obs);
+    collector_.attach(obs);
     if (predictor_)
-        predictor_->setProfiler(profile, smId_);
+        predictor_->attach(obs);
 }
 
 void
 RtUnit::checkCompletedRay(const RayEntry &e) const
 {
-    check_->require(!(e.verified && e.mispredicted), "RtUnit",
-                    "a ray is never both verified and mispredicted",
-                    [&] { return "global ray " +
-                                 std::to_string(e.globalId); });
-    check_->require(
+    InvariantChecker &check = *obs_.check;
+    check.require(!(e.verified && e.mispredicted), "RtUnit",
+                  "a ray is never both verified and mispredicted",
+                  [&] { return "global ray " +
+                               std::to_string(e.globalId); });
+    check.require(
         !(e.verified || e.mispredicted) || e.predicted, "RtUnit",
         "only a predicted ray can be verified or mispredicted",
         [&] { return "global ray " + std::to_string(e.globalId); });
-    check_->require(!e.hit || (e.hitPrim != ~0u && e.hitLeaf != ~0u),
-                    "RtUnit",
-                    "a hit ray names the primitive and leaf it hit",
-                    [&] {
-                        return "global ray " + std::to_string(e.globalId) +
-                               ": prim " + std::to_string(e.hitPrim) +
-                               ", leaf " + std::to_string(e.hitLeaf);
-                    });
+    check.require(!e.hit || (e.hitPrim != ~0u && e.hitLeaf != ~0u),
+                  "RtUnit",
+                  "a hit ray names the primitive and leaf it hit",
+                  [&] {
+                      return "global ray " + std::to_string(e.globalId) +
+                             ": prim " + std::to_string(e.hitPrim) +
+                             ", leaf " + std::to_string(e.hitLeaf);
+                  });
 }
 
 void
@@ -109,7 +103,8 @@ RtUnit::RtUnit(const RtUnitConfig &config, const Bvh &bvh,
       smId_(sm_id), predictor_(predictor),
       buffer_((config.maxWarps + config.additionalWarps) *
               config.warpSize),
-      isect_(config.isect), collector_(config.repacker)
+      isect_(config.isect),
+      collector_(config.repacker, static_cast<std::uint16_t>(sm_id))
 {
     l1Ports_.assign(std::max(1u, config_.l1PortsPerCycle), 0);
     // Concurrent warps are bounded by one warp per resident ray plus the
@@ -177,19 +172,19 @@ RtUnit::step()
             "RtUnit::step: empty event queue (SM " +
             std::to_string(smId_) + ")");
     RtEvent ev = events_.pop();
-    if (profile_)
-        profile_->onEvent(smId_, ev.cycle);
+    if (obs_.profile)
+        obs_.profile->onEvent(smId_, ev.cycle);
 
     if (ev.kind == RtEventKind::CollectorFlush) {
         auto flushed = collector_.flushIfExpired(ev.cycle);
         if (!flushed.empty())
             dispatchRepacked(flushed, ev.cycle);
         scheduleCollectorFlush();
-        if (profile_) {
-            profile_->noteExec(smId_, CycleCat::RepackWait,
-                               ProfRayType::None);
-            profile_->closeStep(smId_, ev.cycle, true,
-                                collector_.pendingCount() > 0);
+        if (obs_.profile) {
+            obs_.profile->noteExec(smId_, CycleCat::RepackWait,
+                                   ProfRayType::None);
+            obs_.profile->closeStep(smId_, ev.cycle, true,
+                                    collector_.pendingCount() > 0);
         }
         return;
     }
@@ -233,11 +228,11 @@ RtUnit::dispatchPending(Cycle now)
         activeExternalWarps_++;
         activeWarps_++;
         stats_.inc(StatId::WarpsDispatched);
-        if (trace_)
-            trace_->emit({w.dispatchedAt, 0,
-                          TraceEventKind::WarpDispatch,
-                          static_cast<std::uint16_t>(smId_), 0,
-                          w.order, count});
+        if (obs_.trace)
+            obs_.trace->emit({w.dispatchedAt, 0,
+                              TraceEventKind::WarpDispatch,
+                              static_cast<std::uint16_t>(smId_), 0,
+                              w.order, count});
         scheduleWarp(warp_idx, now + config_.queueLatency);
     }
 }
@@ -258,10 +253,10 @@ RtUnit::dispatchRepacked(const std::vector<std::uint32_t> &slots,
     w.raysAtDispatch = static_cast<std::uint32_t>(slots.size());
     activeWarps_++;
     stats_.inc(StatId::RepackedWarps);
-    if (trace_)
-        trace_->emit({now, 0, TraceEventKind::WarpDispatch,
-                      static_cast<std::uint16_t>(smId_), 1, w.order,
-                      slots.size()});
+    if (obs_.trace)
+        obs_.trace->emit({now, 0, TraceEventKind::WarpDispatch,
+                          static_cast<std::uint16_t>(smId_), 1, w.order,
+                          slots.size()});
     scheduleWarp(warp_idx, now);
 }
 
@@ -288,9 +283,9 @@ RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
     if (warp.slots.empty()) {
         // Stale event for a retired warp: still a popped event, so the
         // profiler must close its cycle or attribution would leak.
-        if (profile_)
-            profile_->closeStep(smId_, now, false,
-                                collector_.pendingCount() > 0);
+        if (obs_.profile)
+            obs_.profile->closeStep(smId_, now, false,
+                                    collector_.pendingCount() > 0);
         return;
     }
 
@@ -313,9 +308,9 @@ RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
         lastStallCycle_ = now;
         stallCycles_++;
     }
-    if (profile_)
-        profile_->closeStep(smId_, now, did_work,
-                            collector_.pendingCount() > 0);
+    if (obs_.profile)
+        obs_.profile->closeStep(smId_, now, did_work,
+                                collector_.pendingCount() > 0);
 
     // Retire completed rays from the warp (in-place compaction).
     std::size_t live = 0;
@@ -331,17 +326,17 @@ RtUnit::stepWarp(std::uint32_t warp_idx, Cycle now)
     if (warp.slots.empty()) {
         // Warp complete: free the slot and admit pending work.
         bool external = !warp.repacked;
-        if (trace_)
-            trace_->emit({warp.dispatchedAt,
-                          now > warp.dispatchedAt
-                              ? now - warp.dispatchedAt
-                              : 0,
-                          TraceEventKind::WarpComplete,
-                          static_cast<std::uint16_t>(smId_),
-                          static_cast<std::uint16_t>(warp.repacked
-                                                         ? 1
-                                                         : 0),
-                          warp.order, warp.raysAtDispatch});
+        if (obs_.trace)
+            obs_.trace->emit({warp.dispatchedAt,
+                              now > warp.dispatchedAt
+                                  ? now - warp.dispatchedAt
+                                  : 0,
+                              TraceEventKind::WarpComplete,
+                              static_cast<std::uint16_t>(smId_),
+                              static_cast<std::uint16_t>(warp.repacked
+                                                             ? 1
+                                                             : 0),
+                              warp.order, warp.raysAtDispatch});
         warp.reset();
         freeWarpSlots_.push_back(warp_idx);
         activeWarps_--;
@@ -378,11 +373,11 @@ RtUnit::doLookups(Warp &warp, Cycle now)
             continue;
         }
         processed = true;
-        if (profile_)
-            profile_->noteExec(smId_,
-                               predictor_ ? CycleCat::PredLookup
-                                          : CycleCat::WarpIssue,
-                               profRayType(e.ray.kind));
+        if (obs_.profile)
+            obs_.profile->noteExec(smId_,
+                                   predictor_ ? CycleCat::PredLookup
+                                              : CycleCat::WarpIssue,
+                                   profRayType(e.ray.kind));
 
         if (!predictor_) {
             e.phase = RayPhase::Normal;
@@ -436,9 +431,9 @@ RtUnit::doLookups(Warp &warp, Cycle now)
 void
 RtUnit::checkStackWindow(const RayEntry &entry) const
 {
-    if (!check_)
+    if (!obs_.check)
         return;
-    check_->require(
+    obs_.check->require(
         entry.stack.hwResident() <= entry.stack.hwCapacity(), "RtUnit",
         "the traversal stack stays inside its hardware window", [&] {
             return "global ray " + std::to_string(entry.globalId) +
@@ -533,8 +528,8 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
                     // handles GI rays whose prediction trimmed tMax.
                     e.verified = true;
                     stats_.inc(StatId::RaysVerified);
-                    if (trace_)
-                        trace_->emit(
+                    if (obs_.trace)
+                        obs_.trace->emit(
                             {now, 0, TraceEventKind::PredictorVerify,
                              static_cast<std::uint16_t>(smId_), 0,
                              e.globalId, 0});
@@ -545,8 +540,8 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
                     stats_.inc(StatId::RaysMispredicted);
                     stats_.addSample(HistId::MispredictRestartCycles,
                                      now - e.predEvalStart);
-                    if (trace_)
-                        trace_->emit(
+                    if (obs_.trace)
+                        obs_.trace->emit(
                             {e.predEvalStart, now - e.predEvalStart,
                              TraceEventKind::PredictorMispredict,
                              static_cast<std::uint16_t>(smId_), 0,
@@ -566,7 +561,7 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
         is.slot = s;
         is.node = *top;
         is.isLeaf = bvh_.node(*top).isLeaf();
-        if (profile_) {
+        if (obs_.profile) {
             // First issue of the step decides the exec category.
             CycleCat cat;
             if (e.phase == RayPhase::PredEval)
@@ -575,7 +570,7 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
                 cat = CycleCat::MispredictRestart;
             else
                 cat = is.isLeaf ? CycleCat::TriTest : CycleCat::BoxTest;
-            profile_->noteExec(smId_, cat, profRayType(e.ray.kind));
+            obs_.profile->noteExec(smId_, cat, profRayType(e.ray.kind));
         }
         is.extraLocalAccesses =
             e.stack.takeSpillEvents() + e.stack.takeRefillEvents();
@@ -619,13 +614,13 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
         if (merged) {
             // Intra-warp duplicate: merged into the earlier request.
             stats_.inc(StatId::WarpMergedRequests);
-            if (trace_)
-                trace_->emit({now, 0, TraceEventKind::NodeFetchIssue,
-                              static_cast<std::uint16_t>(smId_),
-                              static_cast<std::uint16_t>(is.isLeaf
-                                                             ? 1
-                                                             : 0),
-                              is.node, 0});
+            if (obs_.trace)
+                obs_.trace->emit({now, 0, TraceEventKind::NodeFetchIssue,
+                                  static_cast<std::uint16_t>(smId_),
+                                  static_cast<std::uint16_t>(is.isLeaf
+                                                                 ? 1
+                                                                 : 0),
+                                  is.node, 0});
         } else {
             auto port = std::min_element(l1Ports_.begin(),
                                          l1Ports_.end());
@@ -647,16 +642,16 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
                 stats_.inc(StatId::MemPredPhaseAccesses);
             stats_.addSample(HistId::NodeFetchCycles,
                              data_ready - start);
-            if (trace_)
-                trace_->emit({start,
-                              data_ready > start ? data_ready - start
-                                                 : 0,
-                              TraceEventKind::NodeFetchReady,
-                              static_cast<std::uint16_t>(smId_),
-                              static_cast<std::uint16_t>(is.isLeaf
-                                                             ? 1
-                                                             : 0),
-                              is.node, data_ready - start});
+            if (obs_.trace)
+                obs_.trace->emit({start,
+                                  data_ready > start ? data_ready - start
+                                                     : 0,
+                                  TraceEventKind::NodeFetchReady,
+                                  static_cast<std::uint16_t>(smId_),
+                                  static_cast<std::uint16_t>(is.isLeaf
+                                                                 ? 1
+                                                                 : 0),
+                                  is.node, data_ready - start});
         }
 
         // Local-memory traffic from stack spills/refills.
@@ -684,8 +679,8 @@ RtUnit::doTraversal(Warp &warp, Cycle now)
             if (e.phase == RayPhase::PredEval) {
                 e.verified = true;
                 stats_.inc(StatId::RaysVerified);
-                if (trace_)
-                    trace_->emit(
+                if (obs_.trace)
+                    obs_.trace->emit(
                         {now, 0, TraceEventKind::PredictorVerify,
                          static_cast<std::uint16_t>(smId_), 0,
                          e.globalId, 0});
@@ -700,7 +695,7 @@ void
 RtUnit::completeRay(std::uint32_t slot, Cycle now)
 {
     RayEntry &e = buffer_.slot(slot);
-    if (check_)
+    if (obs_.check)
         checkCompletedRay(e);
     RayResult res;
     res.hit = e.hit;

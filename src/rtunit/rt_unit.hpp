@@ -40,12 +40,12 @@
 #include "rtunit/event_queue.hpp"
 #include "rtunit/intersection_unit.hpp"
 #include "rtunit/ray_buffer.hpp"
+#include "util/observers.hpp"
 #include "util/stats.hpp"
 
 namespace rtp {
 
 struct TelemetrySmSample;
-class CycleProfiler;
 
 /** RT unit configuration (Section 5.1 / Table 2 defaults). */
 struct RtUnitConfig
@@ -168,35 +168,18 @@ class RtUnit
     void snapshotInto(TelemetrySmSample &out) const;
 
     /**
-     * Attach a trace sink (nullptr detaches). Shared with the partial
-     * warp collector. Emission is a pure observer: enabling a sink
-     * never changes simulated cycles or statistics.
+     * Attach observers (an empty bundle detaches), forwarded to the ray
+     * buffer, event queue, partial warp collector and this SM's
+     * predictor. Events are traced; every event classifies its own
+     * cycle and the wait gap before it for the profiler (see
+     * util/profile.hpp); and checker probes fire at event boundaries:
+     * stack pushes stay inside the hardware window, completed rays
+     * carry consistent prediction flags, slots are never
+     * double-released, event time never runs backwards. Every observer
+     * is pure: attaching one never changes simulated cycles or
+     * statistics. This SM's L1 is attached through MemorySystem.
      */
-    void
-    setTraceSink(TraceSink *sink)
-    {
-        trace_ = sink;
-        collector_.setTraceSink(sink,
-                                static_cast<std::uint16_t>(smId_));
-    }
-
-    /**
-     * Attach an invariant checker (nullptr detaches), shared with the
-     * ray buffer, event queue, and partial warp collector. Probes then
-     * fire at event boundaries: stack pushes stay inside the hardware
-     * window, completed rays carry consistent prediction flags, slots
-     * are never double-released, event time never runs backwards. Same
-     * pure-observer contract as tracing.
-     */
-    void setChecker(InvariantChecker *check);
-
-    /**
-     * Attach a cycle-attribution profiler (nullptr detaches), shared
-     * with the partial warp collector and this SM's predictor. Every
-     * event then classifies its own cycle and the wait gap before it
-     * (see util/profile.hpp). Same pure-observer contract as tracing.
-     */
-    void setProfiler(CycleProfiler *profile);
+    void attach(const Observers &obs);
 
     /**
      * End-of-run sweep, called by the driver once every ray completed:
@@ -315,9 +298,7 @@ class RtUnit
 
     std::vector<RayResult> results_;
     StatGroup stats_;
-    TraceSink *trace_ = nullptr;
-    InvariantChecker *check_ = nullptr;
-    CycleProfiler *profile_ = nullptr;
+    Observers obs_;
     std::uint64_t issueActiveThreads_ = 0;
     std::uint64_t issueSlots_ = 0;
 

@@ -115,8 +115,9 @@ TEST(CheckedSimulation, ProbesExecuteAcrossComponents)
         InvariantChecker check;
         SimConfig cfg = base;
         cfg.check = &check;
-        SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                               rig().ao.rays, cfg);
+        SimResult r =
+            Simulation(cfg, rig().bvh, rig().scene.mesh.triangles())
+                .run(rig().ao.rays);
         EXPECT_EQ(r.stats.get("rays_completed"), rig().ao.rays.size());
         // Per-event probes plus the end-of-run sweep plus the per-ray
         // oracle: a checked run of this size executes many thousands of
@@ -133,15 +134,15 @@ TEST(CheckedSimulation, CheckerDoesNotPerturbSimulation)
     // perturbation is caught.
     for (const SimConfig &base :
          {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult plain = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-            base);
+        SimResult plain =
+            Simulation(base, rig().bvh, rig().scene.mesh.triangles())
+                .run(rig().ao.rays);
         InvariantChecker check;
         SimConfig checked_cfg = base;
         checked_cfg.check = &check;
-        SimResult checked = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays,
-            checked_cfg);
+        SimResult checked =
+            Simulation(checked_cfg, rig().bvh, rig().scene.mesh.triangles())
+                .run(rig().ao.rays);
         EXPECT_GT(check.checksRun(), 0u);
         EXPECT_EQ(plain.cycles, checked.cycles);
         EXPECT_EQ(plain.toJson(), checked.toJson());
@@ -157,8 +158,10 @@ TEST(ReferenceOracle, CatchesCorruptedResults)
 {
     // The oracle must actually be able to fail: corrupt one simulated
     // result and assert the cross-check reports that exact ray.
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::proposed());
+    SimResult r =
+        Simulation(SimConfig::proposed(), rig().bvh,
+                   rig().scene.mesh.triangles())
+            .run(rig().ao.rays);
     std::vector<RayResult> corrupted = r.rayResults;
     corrupted[7].hit = !corrupted[7].hit;
     InvariantChecker check;

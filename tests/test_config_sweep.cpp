@@ -78,8 +78,9 @@ TEST_P(TableSweepTest, InvariantsHold)
     cfg.predictor.table.numEntries = entries;
     cfg.predictor.table.ways = ways;
     cfg.predictor.table.nodesPerEntry = nodes;
-    checkInvariants(simulate(fx().bvh, fx().scene.mesh.triangles(),
-                             fx().ao.rays, cfg));
+    checkInvariants(
+        Simulation(cfg, fx().bvh, fx().scene.mesh.triangles())
+            .run(fx().ao.rays));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -109,8 +110,9 @@ TEST_P(HashSweepTest, InvariantsHold)
                                           : HashFunction::TwoPoint;
     cfg.predictor.hash.originBits = origin;
     cfg.predictor.hash.directionBits = dir;
-    checkInvariants(simulate(fx().bvh, fx().scene.mesh.triangles(),
-                             fx().ao.rays, cfg));
+    checkInvariants(
+        Simulation(cfg, fx().bvh, fx().scene.mesh.triangles())
+            .run(fx().ao.rays));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -139,8 +141,9 @@ TEST_P(ModeSweepTest, InvariantsHold)
     cfg.predictor.goUpLevel = goup;
     cfg.rt.repackEnabled = repack;
     cfg.rt.additionalWarps = extra;
-    checkInvariants(simulate(fx().bvh, fx().scene.mesh.triangles(),
-                             fx().ao.rays, cfg));
+    checkInvariants(
+        Simulation(cfg, fx().bvh, fx().scene.mesh.triangles())
+            .run(fx().ao.rays));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -169,8 +172,9 @@ TEST_P(MemSweepTest, InvariantsHold)
     cfg.memory.l1.sizeBytes = l1kb * 1024;
     cfg.memory.l2Enabled = l2;
     cfg.rt.l1PortsPerCycle = ports;
-    checkInvariants(simulate(fx().bvh, fx().scene.mesh.triangles(),
-                             fx().ao.rays, cfg));
+    checkInvariants(
+        Simulation(cfg, fx().bvh, fx().scene.mesh.triangles())
+            .run(fx().ao.rays));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -148,10 +148,12 @@ TEST(Integration, GiPredictionTrimsWithoutChangingResults)
     rg.width = 24;
     rg.height = 24;
     RayBatch gi = generateGiRays(w.scene, w.bvh, rg);
-    SimResult base = simulate(w.bvh, w.scene.mesh.triangles(), gi.rays,
-                              SimConfig::baseline());
-    SimResult pred = simulate(w.bvh, w.scene.mesh.triangles(), gi.rays,
-                              SimConfig::proposed());
+    SimResult base =
+        Simulation(SimConfig::baseline(), w.bvh, w.scene.mesh.triangles())
+            .run(gi.rays);
+    SimResult pred =
+        Simulation(SimConfig::proposed(), w.bvh, w.scene.mesh.triangles())
+            .run(gi.rays);
     ASSERT_EQ(base.rayResults.size(), pred.rayResults.size());
     for (std::size_t i = 0; i < base.rayResults.size(); ++i) {
         EXPECT_EQ(base.rayResults[i].hit, pred.rayResults[i].hit);

@@ -376,8 +376,10 @@ TEST(RunSweep, ShardedSimThreadsEnvPreservesResults)
 
 TEST(SimResultJson, DeterministicAndWellFormed)
 {
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::proposed());
+    SimResult r =
+        Simulation(SimConfig::proposed(), rig().bvh,
+                   rig().scene.mesh.triangles())
+            .run(rig().ao.rays);
     std::string a = r.toJson();
     EXPECT_EQ(a, r.toJson());
     EXPECT_EQ(a.front(), '{');
@@ -389,8 +391,10 @@ TEST(SimResultJson, DeterministicAndWellFormed)
 
 TEST(JsonResultSink, WritesDeterministicFile)
 {
-    SimResult r = simulate(rig().bvh, rig().scene.mesh.triangles(),
-                           rig().ao.rays, SimConfig::baseline());
+    SimResult r =
+        Simulation(SimConfig::baseline(), rig().bvh,
+                   rig().scene.mesh.triangles())
+            .run(rig().ao.rays);
     std::string written[2];
     for (int round = 0; round < 2; ++round) {
         std::string dir = ::testing::TempDir();

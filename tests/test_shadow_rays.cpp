@@ -100,10 +100,14 @@ TEST(ShadowRays, PredictorWorksOnShadowWorkload)
     RayBatch batch =
         generateShadowRays(fx().scene, fx().bvh, cfg, &light);
     ASSERT_GT(batch.rays.size(), 0u);
-    SimResult base = simulate(fx().bvh, fx().scene.mesh.triangles(),
-                              batch.rays, SimConfig::baseline());
-    SimResult pred = simulate(fx().bvh, fx().scene.mesh.triangles(),
-                              batch.rays, SimConfig::proposed());
+    SimResult base =
+        Simulation(SimConfig::baseline(), fx().bvh,
+                   fx().scene.mesh.triangles())
+            .run(batch.rays);
+    SimResult pred =
+        Simulation(SimConfig::proposed(), fx().bvh,
+                   fx().scene.mesh.triangles())
+            .run(batch.rays);
     // Correctness.
     for (std::size_t i = 0; i < batch.rays.size(); ++i) {
         bool ref = traverseAnyHit(fx().bvh,

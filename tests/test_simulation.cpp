@@ -13,6 +13,8 @@
 #include "gpu/simulator.hpp"
 #include "rays/raygen.hpp"
 #include "scene/registry.hpp"
+#include "util/check.hpp"
+#include "util/trace.hpp"
 
 namespace rtp {
 namespace {
@@ -44,19 +46,6 @@ rig()
 }
 
 // --- Facade behaviour ----------------------------------------------------
-
-TEST(Simulation, FacadeMatchesFreeFunction)
-{
-    for (const SimConfig &cfg :
-         {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult direct =
-            Simulation(cfg, rig().bvh, rig().scene.mesh.triangles())
-                .run(rig().ao.rays);
-        SimResult wrapped = simulate(
-            rig().bvh, rig().scene.mesh.triangles(), rig().ao.rays, cfg);
-        EXPECT_EQ(direct.toJson(), wrapped.toJson());
-    }
-}
 
 TEST(Simulation, RepeatedRunsAreIndependent)
 {
@@ -114,6 +103,35 @@ TEST(Simulation, PredictorSetCarriesTrainedState)
     set.bind(cfg.predictor, cfg.numSms, rig().bvh, false);
     SimResult recold = sim.run(rig().ao.rays);
     EXPECT_EQ(cold.toJson(), recold.toJson());
+}
+
+TEST(Simulation, PredictorSetRunDropsPreviousRunObservers)
+{
+    // Regression: a PredictorSet's predictors outlive each run, and
+    // Simulation::run used to attach the trace sink and checker only
+    // when they were non-null. A run without observers after one with them then
+    // kept emitting into the first run's sink and checker (a
+    // use-after-free once those are destroyed).
+    SimConfig cfg = SimConfig::proposed();
+    PredictorSet set;
+    set.bind(cfg.predictor, cfg.numSms, rig().bvh);
+
+    TraceSink sink;
+    InvariantChecker check;
+    SimConfig observed = cfg;
+    observed.trace = &sink;
+    observed.check = &check;
+    Simulation(observed, rig().bvh, rig().scene.mesh.triangles(), set)
+        .run(rig().ao.rays);
+    std::size_t events = sink.size();
+    std::uint64_t checks = check.checksRun();
+    ASSERT_GT(events, 0u);
+    ASSERT_GT(checks, 0u);
+
+    Simulation(cfg, rig().bvh, rig().scene.mesh.triangles(), set)
+        .run(rig().ao.rays);
+    EXPECT_EQ(sink.size(), events);
+    EXPECT_EQ(check.checksRun(), checks);
 }
 
 // --- SimConfig::validate() ----------------------------------------------
