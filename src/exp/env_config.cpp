@@ -1,6 +1,7 @@
 #include "exp/env_config.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -11,9 +12,9 @@ namespace {
 
 /**
  * Parse a plain decimal environment value or throw. Shared strictness
- * core for the index/positive variants: no signs, no whitespace, no
- * trailing junk, no empty string — the same rules parseThreadCountEnv
- * established for RTP_THREADS.
+ * core for the index/positive variants (and, through parseEnvPositive,
+ * parseThreadCountEnv): no signs, no whitespace, no trailing junk, no
+ * empty string.
  */
 std::uint64_t
 parseDecimalOrThrow(const char *name, const char *value,
@@ -102,7 +103,7 @@ EnvConfig::fromEnvironment()
     env.budget = threadBudgetFromEnv();
 
     for (const char *removed :
-         {"RTP_KERNEL", "RTP_BACKEND", "RTP_SERVICE"}) {
+         {"RTP_KERNEL", "RTP_BACKEND", "RTP_SERVICE", "RTP_METRICS"}) {
         if (const char *p = std::getenv(removed); p && *p)
             throw std::invalid_argument(
                 std::string(removed) +
@@ -127,9 +128,6 @@ EnvConfig::fromEnvironment()
         env.profilePath = p;
     env.profilePoint = static_cast<std::size_t>(
         parseEnvIndex("RTP_PROFILE_POINT", 0));
-
-    if (const char *p = std::getenv("RTP_METRICS"))
-        env.metricsPath = p;
 
     if (const char *p = std::getenv("RTP_JSON_DIR"))
         env.jsonDir = p;

@@ -7,8 +7,8 @@
  * parsing was scattered across exp/harness.cpp, exp/parallel.cpp,
  * exp/workload.cpp, and the tools, each with its own (sometimes
  * lenient) rules. A malformed value throws std::invalid_argument with
- * the variable name and offending text, following the
- * parseThreadCountEnv convention (exp/parallel.hpp): typos must fail
+ * the variable name and offending text (parseThreadCountEnv in
+ * exp/parallel.hpp is built on the same parser): typos must fail
  * loudly, not silently become a default.
  *
  * None of these variables is a *simulated* knob: results are
@@ -27,7 +27,6 @@
  * | RTP_TELEMETRY_PERIOD | sampling period in simulated cycles      | 256                |
  * | RTP_PROFILE          | cycle-attribution profile JSON path      | (off)              |
  * | RTP_PROFILE_POINT    | sweep-point index to profile             | 0                  |
- * | RTP_METRICS          | Prometheus text exposition path          | (off)              |
  * | RTP_JSON_DIR         | directory for bench_*.json sinks         | working directory  |
  * | RTP_SCALE            | workload fidelity 1..16 (clamped high)   | 1                  |
  * | RTP_SELFBENCH_REPS   | selfbench repetitions per cell           | 3                  |
@@ -36,11 +35,12 @@
  * mirrors it for users.
  *
  * Removed knobs: RTP_KERNEL (the SoA intersection kernels),
- * RTP_BACKEND (the learned predictor backend) and RTP_SERVICE (the job
- * server that ran sweeps instead of the runSweep pool) no longer exist.
- * Any non-empty value throws, so a stale script fails instead of
- * silently running the one remaining kernel, predictor table and sweep
- * path.
+ * RTP_BACKEND (the learned predictor backend), RTP_SERVICE (the job
+ * server that ran sweeps instead of the runSweep pool) and RTP_METRICS
+ * (the Prometheus text exposition of the profile and stat groups) no
+ * longer exist. Any non-empty value throws, so a stale script fails
+ * instead of silently running the one remaining kernel, predictor
+ * table and sweep path, or silently writing no metrics file.
  */
 
 #pragma once
@@ -73,9 +73,6 @@ struct EnvConfig
     /** RTP_PROFILE / RTP_PROFILE_POINT (empty path = profiling off). */
     std::string profilePath;
     std::size_t profilePoint = 0;
-
-    /** RTP_METRICS (empty path = metrics exposition off). */
-    std::string metricsPath;
 
     /** RTP_JSON_DIR (empty = working directory). */
     std::string jsonDir;

@@ -1,41 +1,29 @@
 #include "exp/parallel.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+
+#include "exp/env_config.hpp"
 
 namespace rtp {
 
 unsigned
 parseThreadCountEnv(const char *name, unsigned fallback)
 {
-    const char *env = std::getenv(name);
-    if (!env)
+    // The strict decimal rules every RTP_* count shares
+    // (exp/env_config.hpp), plus a sanity cap on thread counts.
+    const char *value = std::getenv(name);
+    if (!value)
         return fallback;
-    auto reject = [&](const char *why) {
-        throw std::invalid_argument(
-            std::string(name) + "=\"" + env + "\" is invalid: " + why +
-            " (expected a plain positive decimal integer)");
-    };
-    if (*env == '\0')
-        reject("empty value");
-    // Strict: no leading whitespace or signs, no trailing junk — a typo
-    // like "4x" or "abc" must not silently become some default.
-    if (!std::isdigit(static_cast<unsigned char>(*env)))
-        reject("not a decimal number");
-    errno = 0;
-    char *end = nullptr;
-    unsigned long n = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0')
-        reject("trailing non-digit characters");
-    if (errno == ERANGE || n > 65536)
-        reject("out of range (max 65536)");
-    if (n == 0)
-        reject("thread count must be >= 1");
+    const std::uint64_t n = parseEnvPositive(name, fallback);
+    if (n > 65536)
+        throw std::invalid_argument(std::string(name) +
+                                    " must be at most 65536, got \"" +
+                                    value + "\"");
     return static_cast<unsigned>(n);
 }
 

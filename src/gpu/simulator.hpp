@@ -31,7 +31,6 @@
 
 #include "bvh/bvh.hpp"
 #include "gpu/config.hpp"
-#include "gpu/sm.hpp"
 #include "rtunit/rt_unit.hpp"
 
 namespace rtp {

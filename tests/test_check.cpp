@@ -126,34 +126,6 @@ TEST(CheckedSimulation, ProbesExecuteAcrossComponents)
     }
 }
 
-TEST(CheckedSimulation, CheckerDoesNotPerturbSimulation)
-{
-    // Same acceptance contract as trace and telemetry: an attached
-    // checker must not change simulated cycles, statistics, or per-ray
-    // results. Byte-compare the result JSON so even counter bookkeeping
-    // perturbation is caught.
-    for (const SimConfig &base :
-         {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult plain =
-            Simulation(base, rig().bvh, rig().scene.mesh.triangles())
-                .run(rig().ao.rays);
-        InvariantChecker check;
-        SimConfig checked_cfg = base;
-        checked_cfg.check = &check;
-        SimResult checked =
-            Simulation(checked_cfg, rig().bvh, rig().scene.mesh.triangles())
-                .run(rig().ao.rays);
-        EXPECT_GT(check.checksRun(), 0u);
-        EXPECT_EQ(plain.cycles, checked.cycles);
-        EXPECT_EQ(plain.toJson(), checked.toJson());
-        for (std::size_t i = 0; i < rig().ao.rays.size(); ++i) {
-            ASSERT_EQ(plain.rayResults[i].hit,
-                      checked.rayResults[i].hit)
-                << "ray " << i;
-        }
-    }
-}
-
 TEST(ReferenceOracle, CatchesCorruptedResults)
 {
     // The oracle must actually be able to fail: corrupt one simulated

@@ -113,8 +113,8 @@ TEST(EnvConfig, EnvStringEmptyWhenUnset)
 TEST(EnvConfig, FromEnvironmentDefaults)
 {
     ScopedEnv k("RTP_KERNEL", nullptr), b("RTP_BACKEND", nullptr),
-        s("RTP_SERVICE", nullptr), c("RTP_CHECK", nullptr),
-        t("RTP_TRACE", nullptr),
+        s("RTP_SERVICE", nullptr), m("RTP_METRICS", nullptr),
+        c("RTP_CHECK", nullptr), t("RTP_TRACE", nullptr),
         tp("RTP_TRACE_POINT", nullptr), te("RTP_TELEMETRY", nullptr),
         tep("RTP_TELEMETRY_POINT", nullptr),
         per("RTP_TELEMETRY_PERIOD", nullptr),
@@ -150,17 +150,23 @@ TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
 
 TEST(EnvConfig, RemovedKnobsFailLoudly)
 {
-    // RTP_KERNEL, RTP_BACKEND and RTP_SERVICE selected code that no
-    // longer exists. Every non-empty value — including the old
-    // defaults — must throw and say so, rather than silently run the
-    // remaining kernel, predictor table and sweep path.
+    // RTP_KERNEL, RTP_BACKEND, RTP_SERVICE and RTP_METRICS selected
+    // code that no longer exists. Every non-empty value — including the
+    // old defaults — must throw and say so, rather than silently run
+    // the remaining kernel, predictor table and sweep path, or silently
+    // write no metrics file.
+    ScopedEnv k("RTP_KERNEL", nullptr), b("RTP_BACKEND", nullptr),
+        s("RTP_SERVICE", nullptr), m("RTP_METRICS", nullptr);
     const std::vector<std::string> oldSelectors = {
         "scalar", "soa", "hash", "learned", "x"};
     const std::vector<std::string> oldFlags = {"0", "1", "x"};
+    const std::vector<std::string> oldPaths = {"0", "1",
+                                               "out/exposition.prom"};
     for (const auto &[name, values] :
          {std::pair{"RTP_KERNEL", oldSelectors},
           std::pair{"RTP_BACKEND", oldSelectors},
-          std::pair{"RTP_SERVICE", oldFlags}}) {
+          std::pair{"RTP_SERVICE", oldFlags},
+          std::pair{"RTP_METRICS", oldPaths}}) {
         for (const std::string &value : values) {
             ScopedEnv knob(name, value.c_str());
             try {

@@ -80,59 +80,6 @@ TEST(Simulator, DeterministicRepeatRuns)
     EXPECT_EQ(a.totalMemAccesses(), b.totalMemAccesses());
 }
 
-TEST(Simulator, TracingDoesNotPerturbSimulation)
-{
-    // Acceptance contract of the observability layer: enabling a trace
-    // sink must not change simulated cycles, statistics, or per-ray
-    // results — emission is a pure observer.
-    for (const SimConfig &base :
-         {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult plain =
-            Simulation(base, rig().bvh, rig().scene.mesh.triangles())
-                .run(rig().ao.rays);
-        SimConfig traced_cfg = base;
-        TraceSink sink;
-        traced_cfg.trace = &sink;
-        SimResult traced =
-            Simulation(traced_cfg, rig().bvh, rig().scene.mesh.triangles())
-                .run(rig().ao.rays);
-        EXPECT_GT(sink.size(), 0u);
-        EXPECT_EQ(plain.cycles, traced.cycles);
-        EXPECT_EQ(plain.toJson(), traced.toJson());
-        for (std::size_t i = 0; i < rig().ao.rays.size(); ++i) {
-            ASSERT_EQ(plain.rayResults[i].hit, traced.rayResults[i].hit)
-                << "ray " << i;
-        }
-    }
-}
-
-TEST(Simulator, TelemetryDoesNotPerturbSimulation)
-{
-    // Same contract as tracing: an attached TelemetrySampler must not
-    // change cycles, statistics, or per-ray results. Byte-compare the
-    // stats JSON so even counter bookkeeping perturbation is caught.
-    for (const SimConfig &base :
-         {SimConfig::baseline(), SimConfig::proposed()}) {
-        SimResult plain =
-            Simulation(base, rig().bvh, rig().scene.mesh.triangles())
-                .run(rig().ao.rays);
-        SimConfig sampled_cfg = base;
-        TelemetrySampler sampler(64);
-        sampled_cfg.telemetry = &sampler;
-        SimResult sampled =
-            Simulation(sampled_cfg, rig().bvh, rig().scene.mesh.triangles())
-                .run(rig().ao.rays);
-        EXPECT_GT(sampler.records().size(), 2u);
-        EXPECT_EQ(plain.cycles, sampled.cycles);
-        EXPECT_EQ(plain.toJson(), sampled.toJson());
-        for (std::size_t i = 0; i < rig().ao.rays.size(); ++i) {
-            ASSERT_EQ(plain.rayResults[i].hit,
-                      sampled.rayResults[i].hit)
-                << "ray " << i;
-        }
-    }
-}
-
 TEST(Simulator, TelemetryTimelineIsMonotoneAndPopulated)
 {
     // Samples are taken every `period` cycles in order, cumulative
