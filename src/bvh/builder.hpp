@@ -20,17 +20,23 @@ namespace rtp {
 /** Builder configuration. */
 struct BvhBuildConfig
 {
-    int maxLeafSize = 4;    //!< split until at most this many prims/leaf
-    int sahBins = 16;       //!< number of SAH bins per axis
+    int maxLeafSize = 4;    //!< split to at most this many prims/leaf, >= 1
+    int sahBins = 16;       //!< number of SAH bins per axis, in [2, 64]
     float traversalCost = 1.0f; //!< SAH traversal constant
     float intersectCost = 1.0f; //!< SAH per-primitive constant
 };
 
-/** Builds BVHs over triangle arrays. */
+/**
+ * Builds BVHs over triangle arrays. The top two tree levels are built on
+ * the calling thread and the (at most four) subtrees below them on up to
+ * three extra threads, each joined before build() returns. The result is
+ * the same, byte for byte, as a sequential preorder build.
+ */
 class BvhBuilder
 {
   public:
-    explicit BvhBuilder(BvhBuildConfig config = {}) : config_(config) {}
+    /** @throws std::invalid_argument if @p config is out of range. */
+    explicit BvhBuilder(BvhBuildConfig config = {});
 
     /**
      * Build a BVH.

@@ -148,18 +148,42 @@ normalize(const Vec3 &v)
     return v / length(v);
 }
 
-/** @return Component-wise minimum. */
-inline Vec3
-min(const Vec3 &a, const Vec3 &b)
+/**
+ * Scalar minimum: a NaN operand is dropped, and on a tie (such as -0 vs
+ * +0) the first operand wins, so min(-0, +0) is -0 and min(+0, -0) is +0.
+ * Every BVH was built with std::fmin. glibc's fminf returns its second
+ * operand on a tie, but GCC treats fmin as commutative and may swap the
+ * operands, and the builder's boxes carry the first operand's zero. This
+ * inline select keeps every box bit and avoids an out-of-line libm call
+ * per component.
+ */
+constexpr float
+fminFirst(float a, float b)
 {
-    return {std::fmin(a.x, b.x), std::fmin(a.y, b.y), std::fmin(a.z, b.z)};
+    return (b < a || a != a) ? b : a;
 }
 
-/** @return Component-wise maximum. */
-inline Vec3
+/** Scalar maximum with the tie and NaN rules of fminFirst. */
+constexpr float
+fmaxFirst(float a, float b)
+{
+    return (b > a || a != a) ? b : a;
+}
+
+/** @return Component-wise minimum (fminFirst per component). */
+constexpr Vec3
+min(const Vec3 &a, const Vec3 &b)
+{
+    return {fminFirst(a.x, b.x), fminFirst(a.y, b.y),
+            fminFirst(a.z, b.z)};
+}
+
+/** @return Component-wise maximum (fmaxFirst per component). */
+constexpr Vec3
 max(const Vec3 &a, const Vec3 &b)
 {
-    return {std::fmax(a.x, b.x), std::fmax(a.y, b.y), std::fmax(a.z, b.z)};
+    return {fmaxFirst(a.x, b.x), fmaxFirst(a.y, b.y),
+            fmaxFirst(a.z, b.z)};
 }
 
 /** @return Linear interpolation a + t (b - a). */

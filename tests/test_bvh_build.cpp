@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "bvh/builder.hpp"
 #include "scene/registry.hpp"
 #include "util/rng.hpp"
@@ -23,6 +25,75 @@ randomTriangles(int n, std::uint64_t seed)
                      rng.nextRange(-1, 1)},
             c + Vec3{rng.nextRange(-1, 1), rng.nextRange(0.01f, 1),
                      rng.nextRange(-1, 1)});
+    }
+    return tris;
+}
+
+/** 64-bit FNV-1a over raw bytes. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(const void *data, std::size_t bytes)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < bytes; ++i)
+            h = (h ^ p[i]) * 0x100000001b3ULL;
+    }
+};
+
+// The digest hashes BvhNode records as raw bytes, so they must have no
+// padding: 6 floats of box plus 8 four-byte fields.
+static_assert(sizeof(BvhNode) == 14 * 4);
+
+/**
+ * Digest of everything a build produces: node records, the primitive
+ * permutation, the slot -> leaf map and the depth.
+ */
+std::uint64_t
+bvhDigest(const Bvh &bvh)
+{
+    Fnv1a f;
+    f.add(bvh.nodes().data(), bvh.nodes().size() * sizeof(BvhNode));
+    f.add(bvh.primIndices().data(),
+          bvh.primIndices().size() * sizeof(std::uint32_t));
+    for (std::uint32_t slot = 0; slot < bvh.primIndices().size(); ++slot) {
+        std::uint32_t leaf = bvh.leafOfPrimSlot(slot);
+        f.add(&leaf, sizeof leaf);
+    }
+    std::uint32_t depth = bvh.maxDepth();
+    f.add(&depth, sizeof depth);
+    return f.h;
+}
+
+/** Triangles with every centroid at the origin (median fallback). */
+std::vector<Triangle>
+coincidentCentroidTriangles(int n)
+{
+    std::vector<Triangle> tris;
+    for (int i = 0; i < n; ++i) {
+        float s = 0.1f + 0.001f * static_cast<float>(i);
+        tris.emplace_back(Vec3{-s, -s, 0}, Vec3{s, -s, 0},
+                          Vec3{0, 2 * s, 0});
+    }
+    return tris;
+}
+
+/**
+ * A flat slab in z = 0 whose vertices carry z = +0 or z = -0, so node
+ * boxes depend on which zero min/max return on a tie.
+ */
+std::vector<Triangle>
+signedZeroSlabTriangles(int n)
+{
+    Rng rng(77);
+    std::vector<Triangle> tris;
+    for (int i = 0; i < n; ++i) {
+        float x = rng.nextRange(-10, 10), y = rng.nextRange(-10, 10);
+        float z0 = (i % 2) ? -0.0f : 0.0f, z1 = (i % 3) ? 0.0f : -0.0f;
+        tris.emplace_back(Vec3{x, y, z0}, Vec3{x + 0.5f, y, z1},
+                          Vec3{x, y + 0.5f, -0.0f});
     }
     return tris;
 }
@@ -81,8 +152,9 @@ TEST(BvhBuild, LeafSizeRespected)
     auto tris = randomTriangles(500, 9);
     Bvh bvh = BvhBuilder(cfg).build(tris);
     for (const auto &n : bvh.nodes()) {
-        if (n.isLeaf())
+        if (n.isLeaf()) {
             EXPECT_LE(n.primCount, 8u); // SAH may keep small clusters
+        }
     }
     EXPECT_EQ(bvh.validate(tris.size()), "");
 }
@@ -167,6 +239,79 @@ TEST(BvhBuild, SceneBvhDepthInPaperBallpark)
     EXPECT_GE(bvh.maxDepth(), 12u);
     EXPECT_LE(bvh.maxDepth(), 40u);
     EXPECT_EQ(bvh.validate(s.mesh.size()), "");
+}
+
+TEST(BvhBuild, ConfigOutOfRangeThrows)
+{
+    for (int bins : {-1, 0, 1, 65}) {
+        BvhBuildConfig cfg;
+        cfg.sahBins = bins;
+        EXPECT_THROW(BvhBuilder{cfg}, std::invalid_argument) << bins;
+    }
+    for (int leaf : {-3, 0}) {
+        BvhBuildConfig cfg;
+        cfg.maxLeafSize = leaf;
+        EXPECT_THROW(BvhBuilder{cfg}, std::invalid_argument) << leaf;
+    }
+    BvhBuildConfig edges;
+    edges.sahBins = 2;
+    edges.maxLeafSize = 1;
+    EXPECT_NO_THROW(BvhBuilder{edges});
+    edges.sahBins = 64;
+    auto tris = randomTriangles(300, 14);
+    EXPECT_EQ(BvhBuilder(edges).build(tris).validate(tris.size()), "");
+}
+
+/**
+ * Pins every byte the builder returns. The digests were recorded from
+ * the sequential recursive builder that calls std::fmin/std::fmax; any
+ * change to the split decisions, the node order or a single box bit
+ * moves them, and with them every simulated cycle.
+ */
+TEST(BvhBuild, GoldenDigest)
+{
+    const std::pair<SceneId, std::uint64_t> scenes[] = {
+        {SceneId::Sibenik, 0x50805e9f74dc4cabULL},
+        {SceneId::CrytekSponza, 0x32a13457be5887d6ULL},
+        {SceneId::LostEmpire, 0xa0b6ecd80ed08dcdULL},
+        {SceneId::LivingRoom, 0xd2a58d11267d08d5ULL},
+        {SceneId::FireplaceRoom, 0xb0c01b4d8be812a8ULL},
+        {SceneId::BistroInterior, 0x5f82f7f9d341fbb8ULL},
+        {SceneId::CountryKitchen, 0xeb3998a08e2f2a86ULL},
+    };
+    for (const auto &[id, golden] : scenes) {
+        Scene s = makeScene(id, 0.12f);
+        Bvh bvh = BvhBuilder().build(s.mesh.triangles());
+        EXPECT_EQ(bvhDigest(bvh), golden)
+            << sceneShortName(id) << " got 0x" << std::hex
+            << bvhDigest(bvh);
+    }
+
+    const std::pair<std::vector<Triangle>, std::uint64_t> shapes[] = {
+        {randomTriangles(1, 1), 0xfc253ef345f7a57bULL},
+        {coincidentCentroidTriangles(5000), 0x46412b8a70122cb7ULL},
+        {signedZeroSlabTriangles(5000), 0xc75d692c90c11c66ULL},
+    };
+    for (const auto &[tris, golden] : shapes) {
+        Bvh bvh = BvhBuilder().build(tris);
+        EXPECT_EQ(bvh.validate(tris.size()), "");
+        EXPECT_EQ(bvhDigest(bvh), golden)
+            << tris.size() << " tris got 0x" << std::hex << bvhDigest(bvh);
+    }
+}
+
+TEST(BvhBuild, RepeatedBuildsIdentical)
+{
+    Scene s = makeScene(SceneId::LivingRoom, 0.12f);
+    const Bvh first = BvhBuilder().build(s.mesh.triangles());
+    for (int i = 0; i < 8; ++i) {
+        Bvh again = BvhBuilder().build(s.mesh.triangles());
+        ASSERT_EQ(again.nodeCount(), first.nodeCount());
+        EXPECT_EQ(std::memcmp(again.nodes().data(), first.nodes().data(),
+                              first.nodes().size() * sizeof(BvhNode)),
+                  0);
+        EXPECT_EQ(bvhDigest(again), bvhDigest(first));
+    }
 }
 
 } // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "geometry/vec3.hpp"
 #include "util/rng.hpp"
 
@@ -74,6 +77,30 @@ TEST(Vec3, MinMaxLerp)
     EXPECT_EQ(lerp(a, b, 1.0f), b);
     Vec3 mid = lerp(a, b, 0.5f);
     EXPECT_FLOAT_EQ(mid.x, 1.5f);
+}
+
+TEST(Vec3, MinMaxSignedZeroTieTakesFirstOperand)
+{
+    // The BVH boxes were built under this tie rule (see fminExact).
+    const Vec3 pz{0.0f, 0.0f, 0.0f};
+    const Vec3 nz{-0.0f, -0.0f, -0.0f};
+    EXPECT_TRUE(std::signbit(min(nz, pz).x));  // min(-0, +0) = -0
+    EXPECT_FALSE(std::signbit(min(pz, nz).y)); // min(+0, -0) = +0
+    EXPECT_TRUE(std::signbit(max(nz, pz).z));  // max(-0, +0) = -0
+    EXPECT_FALSE(std::signbit(max(pz, nz).x)); // max(+0, -0) = +0
+}
+
+TEST(Vec3, MinMaxDropNaNOperand)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const Vec3 n{nan, nan, nan};
+    const Vec3 v{1.0f, -2.0f, 3.0f};
+    EXPECT_EQ(min(n, v), v);
+    EXPECT_EQ(min(v, n), v);
+    EXPECT_EQ(max(n, v), v);
+    EXPECT_EQ(max(v, n), v);
+    EXPECT_TRUE(std::isnan(min(n, n).x));
+    EXPECT_TRUE(std::isnan(max(n, n).x));
 }
 
 TEST(Vec3, CrossIsOrthogonalProperty)
