@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <new>
@@ -270,10 +271,19 @@ BvhBuilder::build(const std::vector<Triangle> &triangles) const
         throw std::invalid_argument("BvhBuilder: empty triangle array");
     const auto n = static_cast<std::uint32_t>(triangles.size());
 
+    // A NaN centroid would reach the float-to-int cast in the SAH
+    // binning. Check the vertices, not the bounds: min/max drop a NaN.
     std::vector<PrimInfo> prims(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-        prims[i].bounds = triangles[i].bounds();
-        prims[i].centroid = triangles[i].centroid();
+        const Triangle &t = triangles[i];
+        for (const Vec3 *v : {&t.v0, &t.v1, &t.v2})
+            if (!std::isfinite(v->x) || !std::isfinite(v->y) ||
+                !std::isfinite(v->z))
+                throw std::invalid_argument(
+                    "BvhBuilder: triangle " + std::to_string(i) +
+                    " has a non-finite vertex coordinate");
+        prims[i].bounds = t.bounds();
+        prims[i].centroid = t.centroid();
     }
 
     Bvh bvh;

@@ -41,6 +41,9 @@ class BvhBuilder
     /**
      * Build a BVH.
      * @param triangles Scene triangle soup (must be non-empty).
+     * @throws std::invalid_argument if @p triangles is empty or a vertex
+     *         coordinate is NaN or infinite (the message names the
+     *         triangle index).
      */
     Bvh build(const std::vector<Triangle> &triangles) const;
 

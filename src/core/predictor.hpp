@@ -95,7 +95,7 @@ class RayPredictor
      * Attach observers (an empty bundle detaches). Lookups and training
      * updates are traced; every timed lookup bumps the predictor meta
      * tallies of util/profile.hpp (lookups and table hits), feeding the
-     * cost/benefit section of tools/cycles_report; and the checker
+     * cost/benefit section of `rtp_report cycles`; and the checker
      * verifies that timed results never become ready before they were
      * issued (port scheduling can delay, never time-travel).
      */

@@ -103,7 +103,8 @@ EnvConfig::fromEnvironment()
     env.budget = threadBudgetFromEnv();
 
     for (const char *removed :
-         {"RTP_KERNEL", "RTP_BACKEND", "RTP_SERVICE", "RTP_METRICS"}) {
+         {"RTP_KERNEL", "RTP_BACKEND", "RTP_SERVICE", "RTP_METRICS",
+          "RTP_SELFBENCH_REPS"}) {
         if (const char *p = std::getenv(removed); p && *p)
             throw std::invalid_argument(
                 std::string(removed) +
@@ -137,9 +138,6 @@ EnvConfig::fromEnvironment()
     // negatives, and garbage are configuration errors and throw.
     std::uint64_t scale = parseEnvPositive("RTP_SCALE", 1);
     env.scale = scale > 16 ? 16 : static_cast<int>(scale);
-
-    env.selfbenchReps = static_cast<int>(
-        parseEnvPositive("RTP_SELFBENCH_REPS", 3));
     return env;
 }
 

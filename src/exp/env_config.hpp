@@ -29,18 +29,19 @@
  * | RTP_PROFILE_POINT    | sweep-point index to profile             | 0                  |
  * | RTP_JSON_DIR         | directory for bench_*.json sinks         | working directory  |
  * | RTP_SCALE            | workload fidelity 1..16 (clamped high)   | 1                  |
- * | RTP_SELFBENCH_REPS   | selfbench repetitions per cell           | 3                  |
  *
  * The documented table above is the single source of truth; README.md
  * mirrors it for users.
  *
  * Removed knobs: RTP_KERNEL (the SoA intersection kernels),
  * RTP_BACKEND (the learned predictor backend), RTP_SERVICE (the job
- * server that ran sweeps instead of the runSweep pool) and RTP_METRICS
- * (the Prometheus text exposition of the profile and stat groups) no
- * longer exist. Any non-empty value throws, so a stale script fails
- * instead of silently running the one remaining kernel, predictor
- * table and sweep path, or silently writing no metrics file.
+ * server that ran sweeps instead of the runSweep pool), RTP_METRICS
+ * (the Prometheus text exposition of the profile and stat groups) and
+ * RTP_SELFBENCH_REPS (the repetitions of the deleted selfbench tool;
+ * perfbench/ is the one host benchmark) no longer exist. Any non-empty
+ * value throws, so a stale script fails instead of silently running
+ * the one remaining kernel, predictor table and sweep path, or
+ * silently writing no metrics file.
  */
 
 #pragma once
@@ -79,9 +80,6 @@ struct EnvConfig
 
     /** RTP_SCALE, validated positive and clamped to [1, 16]. */
     int scale = 1;
-
-    /** RTP_SELFBENCH_REPS (>= 1). */
-    int selfbenchReps = 3;
 
     /**
      * Parse the full environment. Re-reads every variable on each call

@@ -49,26 +49,11 @@ compareValue(const JsonValue &base, const JsonValue &cur,
 
 void
 compareNumber(const JsonValue &base, const JsonValue &cur,
-              const std::string &path, const std::string &key,
-              const BenchDiffOptions &opts,
+              const std::string &path, const BenchDiffOptions &opts,
               std::vector<BenchViolation> &out)
 {
     double b = base.number;
     double c = cur.number;
-    if (isBenchPerfKey(key)) {
-        if (opts.skipPerf)
-            return;
-        // Throughput only gates in the slow direction.
-        if (c < b * (1.0 - opts.perfTol)) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "throughput fell %.1f%% (tolerance %.1f%%)",
-                          -relDelta(b, c) * 100.0,
-                          opts.perfTol * 100.0);
-            addViolation(out, path, "perf", b, c, buf);
-        }
-        return;
-    }
     if (std::fabs(c - b) >
         opts.relTol * std::max(std::fabs(b), 1.0)) {
         char buf[160];
@@ -98,18 +83,7 @@ compareObject(const JsonValue &base, const JsonValue &cur,
                          "present in baseline, absent in current");
             continue;
         }
-        if (kv.second.type != c->type) {
-            addViolation(out, child, "type", kv.second.number,
-                         c->number,
-                         std::string("type changed: ") +
-                             typeName(kv.second.type) + " -> " +
-                             typeName(c->type));
-            continue;
-        }
-        if (kv.second.isNumber())
-            compareNumber(kv.second, *c, child, key, opts, out);
-        else
-            compareValue(kv.second, *c, child, opts, out);
+        compareValue(kv.second, *c, child, opts, out);
     }
     // Keys only present in `cur` are new metrics; ignored so extending
     // the bench output never trips the gate on stale baselines.
@@ -136,9 +110,7 @@ compareValue(const JsonValue &base, const JsonValue &cur,
                          cur.boolean ? 1 : 0, "boolean flipped");
         break;
     case JsonValue::Type::Number:
-        // Bare numbers (array elements) have no key context; compare
-        // with the symmetric deterministic rule.
-        compareNumber(base, cur, path, "", opts, out);
+        compareNumber(base, cur, path, opts, out);
         break;
     case JsonValue::Type::String:
         if (base.str != cur.str)
@@ -173,12 +145,6 @@ isBenchTimingKey(const std::string &key)
     return key == "wall_seconds" || key == "serial_seconds" ||
            key == "threads" || key == "runs" || key == "timing" ||
            key == "reps";
-}
-
-bool
-isBenchPerfKey(const std::string &key)
-{
-    return key == "rays_per_second";
 }
 
 std::vector<BenchViolation>

@@ -2,8 +2,8 @@
  * @file
  * Bench-JSON regression comparison (the perf-gate core).
  *
- * Compares a freshly produced bench JSON document (bench_*.json,
- * bench_selfbench.json) against a committed baseline and reports every
+ * Compares a freshly produced bench JSON document (bench_*.json)
+ * against a committed baseline and reports every
  * metric whose relative deviation exceeds a per-kind tolerance. Lives in
  * the library — rather than in tools/bench_diff — so the comparison
  * rules are unit-testable without spawning processes.
@@ -13,11 +13,9 @@
  *    symmetric relative tolerance: |cur - base| <= relTol *
  *    max(|base|, 1). The max(.., 1) floor keeps near-zero baselines
  *    from turning rounding noise into violations.
- *  - Wall-clock throughput keys (rays_per_second) are inherently noisy
- *    and only gate in the slow direction: cur < base * (1 - perfTol)
- *    is a regression, faster is never a violation.
  *  - Timing keys (wall_seconds, serial_seconds, threads, runs, timing,
- *    reps) vary run to run and are always skipped.
+ *    reps) vary run to run and are always skipped. Host speed is not
+ *    gated here: perfbench/ measures it.
  *  - The "histograms" subtrees are skipped by default (bucket layouts
  *    shift legitimately as workloads evolve); includeHistograms gates
  *    them too.
@@ -41,10 +39,6 @@ struct BenchDiffOptions
 {
     /** Symmetric relative tolerance for deterministic metrics. */
     double relTol = 0.02;
-    /** One-sided (slower-only) tolerance for throughput keys. */
-    double perfTol = 0.25;
-    /** When true, skip throughput keys entirely. */
-    bool skipPerf = false;
     /** When true, compare the "histograms" subtrees as well. */
     bool includeHistograms = false;
 };
@@ -53,7 +47,7 @@ struct BenchDiffOptions
 struct BenchViolation
 {
     std::string path;   //!< dotted path, e.g. "results.SB/baseline.cycles"
-    std::string kind;   //!< "value", "perf", "missing", "type", "shape"
+    std::string kind;   //!< "value", "missing", "type", "shape"
     double baseline = 0.0;
     double current = 0.0;
     /** Signed (current - baseline) / max(|baseline|, 1). */
@@ -63,9 +57,6 @@ struct BenchViolation
 
 /** @return true for run-to-run timing keys that are never compared. */
 bool isBenchTimingKey(const std::string &key);
-
-/** @return true for wall-clock throughput keys gated by perfTol. */
-bool isBenchPerfKey(const std::string &key);
 
 /**
  * Compare @p current against @p baseline under @p opts.

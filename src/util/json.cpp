@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace rtp {
 
@@ -315,6 +317,24 @@ std::optional<JsonValue>
 parseJson(const std::string &text, std::string *error)
 {
     return Parser(text, error).parse();
+}
+
+std::optional<JsonValue>
+loadJsonFile(const std::string &path, std::string *error)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        if (error)
+            *error = "cannot read " + path;
+        return std::nullopt;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string parseError;
+    auto root = parseJson(text.str(), &parseError);
+    if (!root && error)
+        *error = path + ": invalid JSON: " + parseError;
+    return root;
 }
 
 } // namespace rtp

@@ -2,9 +2,10 @@
  * @file
  * Minimal recursive-descent JSON parser.
  *
- * Exists so tools/trace_report and the test suite can validate and
- * summarise the Chrome-trace JSON the TraceSink emits (and the bench
- * JSON sinks) without an external dependency. Full RFC 8259 input
+ * Exists so tools/rtp_report, tools/bench_diff and the test suite can
+ * validate and summarise the JSON the simulator emits (Chrome trace,
+ * telemetry timeline, cycle profile, bench sinks) without an external
+ * dependency. Full RFC 8259 input
  * grammar; values are held as doubles/strings/vectors, which is ample
  * for trace and stat payloads.
  */
@@ -85,5 +86,14 @@ struct JsonValue
  */
 std::optional<JsonValue> parseJson(const std::string &text,
                                    std::string *error = nullptr);
+
+/**
+ * Read the file at @p path and parse it as one JSON document.
+ * @param error When non-null, receives "cannot read <path>" or
+ *        "<path>: invalid JSON: <parser message>" on failure.
+ * @return The root value, or nullopt on I/O failure or malformed input.
+ */
+std::optional<JsonValue> loadJsonFile(const std::string &path,
+                                      std::string *error = nullptr);
 
 } // namespace rtp

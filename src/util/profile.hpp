@@ -20,7 +20,7 @@
  * By construction this yields a hard conservation law — for every SM,
  * the category counts sum to the elapsed cycles — which
  * checkConservation() asserts through the InvariantChecker, and which
- * tools/cycles_report re-verifies offline from the JSON.
+ * `rtp_report cycles` re-verifies offline from the JSON.
  *
  * Zero-perturbation contract (same as trace/telemetry/check): the
  * profiler attaches to SimConfig::profile as a non-owned pointer,
@@ -197,7 +197,7 @@ public:
 
     // ------------------------------------------------------------------
     // Meta tallies (not part of the conservation law; they feed the
-    // cost/benefit section of tools/cycles_report).
+    // cost/benefit section of `rtp_report cycles`).
 
     /** L1 probe: @p unit's private L1 access, hit or miss. */
     void
@@ -300,7 +300,7 @@ public:
     /**
      * Serialise the full attribution table as deterministic JSON
      * (schema_version stamped; fixed catalogue order; no timing
-     * fields), the input format of tools/cycles_report.
+     * fields), the input format of `rtp_report cycles`.
      */
     std::string toJson() const;
 

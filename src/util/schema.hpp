@@ -5,10 +5,11 @@
  * Every machine-readable JSON document the simulator emits (SimResult,
  * StatGroup, bench sinks, telemetry timelines, trace metadata) carries
  * a top-level "schema_version" so downstream consumers — bench_diff,
- * trace_report, timeline_report — can evolve independently of the
- * producer. Consumers accept
- * documents without the key (pre-versioning output), accept the current
- * version silently, and warn (but proceed) on unknown versions.
+ * rtp_report — can evolve independently of the producer. Consumers
+ * accept documents without the key (pre-versioning output), accept the
+ * current version silently, and warn (but proceed) on unknown versions.
+ * `rtp_report cycles` is the exception: it re-checks a conservation
+ * law and so requires the current version exactly.
  *
  * Version history:
  *   1 — first versioned schema.

@@ -10,7 +10,7 @@
  * that gap: every N simulated cycles it snapshots cheap cumulative and
  * instantaneous counters from every modelled unit (RtUnit, CacheModel,
  * DramModel, RayPredictor, PartialWarpCollector) into a timeline record,
- * exported as JSON or CSV and summarised by tools/timeline_report.
+ * exported as JSON or CSV and summarised by `rtp_report timeline`.
  *
  * Overhead contract (same as TraceSink): sampling is a pure observer.
  * Probes only read component state, so attaching a sampler cannot change

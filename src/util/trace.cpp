@@ -144,8 +144,8 @@ catOf(std::uint32_t pid)
 
 /**
  * Event display name. Cache events fold the level (aux) into the name
- * ("l1_miss", "l2_hit") so Perfetto tracks and trace_report summaries
- * distinguish levels without inspecting args.
+ * ("l1_miss", "l2_hit") so Perfetto tracks and `rtp_report trace`
+ * summaries distinguish levels without inspecting args.
  */
 void
 writeName(std::ostream &os, const TraceEvent &ev)

@@ -7,7 +7,7 @@
  * which end-of-run scalar counters cannot localise. Components emit
  * typed TraceEvents into a ring-buffered TraceSink; the sink exports
  * Chrome-trace-format JSON (load in Perfetto / chrome://tracing) and is
- * summarised offline by tools/trace_report.
+ * summarised offline by `rtp_report trace`.
  *
  * Overhead contract: tracing is an observer only. Emission never touches
  * simulated state, so enabling a sink cannot change cycle counts, and a
@@ -121,7 +121,7 @@ class TraceSink
      * Write the buffered events as Chrome trace format JSON
      * ({"traceEvents":[...]}; ts/dur in "microseconds" = simulated
      * cycles). Loads directly in Perfetto or chrome://tracing and is
-     * summarised by tools/trace_report.
+     * summarised by `rtp_report trace`.
      */
     void writeChromeTrace(std::ostream &os) const;
 

@@ -1,5 +1,5 @@
 /** @file Unit tests for the bench-JSON regression comparison rules
- *  (util/bench_compare.hpp) that back the tools/bench_diff perf gate.
+ *  (util/bench_compare.hpp) that back the tools/bench_diff cycle gate.
  */
 
 #include <gtest/gtest.h>
@@ -75,35 +75,6 @@ TEST(BenchCompare, NearZeroBaselineUsesAbsoluteFloor)
     EXPECT_FALSE(diff("{\"x\":0}", "{\"x\":0.5}").empty());
 }
 
-TEST(BenchCompare, PerfKeysGateOnlyInTheSlowDirection)
-{
-    // 30% slower trips the default 25% perf tolerance...
-    auto slow = diff(
-        "{\"results\":{\"A\":{\"rays_per_second\":100000}}}",
-        "{\"results\":{\"A\":{\"rays_per_second\":70000}}}");
-    ASSERT_EQ(slow.size(), 1u);
-    EXPECT_EQ(slow[0].kind, "perf");
-    // ...while a 3x speedup is never a violation.
-    auto fast = diff(
-        "{\"results\":{\"A\":{\"rays_per_second\":100000}}}",
-        "{\"results\":{\"A\":{\"rays_per_second\":300000}}}");
-    EXPECT_TRUE(fast.empty());
-    // 20% slower is within the default tolerance.
-    auto ok = diff(
-        "{\"results\":{\"A\":{\"rays_per_second\":100000}}}",
-        "{\"results\":{\"A\":{\"rays_per_second\":80000}}}");
-    EXPECT_TRUE(ok.empty());
-}
-
-TEST(BenchCompare, SkipPerfIgnoresThroughputEntirely)
-{
-    BenchDiffOptions opts;
-    opts.skipPerf = true;
-    auto v = diff("{\"rays_per_second\":100000}",
-                  "{\"rays_per_second\":1}", opts);
-    EXPECT_TRUE(v.empty());
-}
-
 TEST(BenchCompare, TimingKeysAreAlwaysSkipped)
 {
     auto v = diff("{\"wall_seconds\":0.1,\"serial_seconds\":0.5,"
@@ -114,8 +85,6 @@ TEST(BenchCompare, TimingKeysAreAlwaysSkipped)
     EXPECT_TRUE(isBenchTimingKey("wall_seconds"));
     EXPECT_TRUE(isBenchTimingKey("threads"));
     EXPECT_FALSE(isBenchTimingKey("cycles"));
-    EXPECT_TRUE(isBenchPerfKey("rays_per_second"));
-    EXPECT_FALSE(isBenchPerfKey("rays"));
 }
 
 TEST(BenchCompare, MissingBaselineKeyIsViolationExtraCurrentIsNot)

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "bvh/builder.hpp"
 #include "scene/registry.hpp"
@@ -111,6 +114,29 @@ TEST(BvhBuild, EmptyThrows)
 {
     std::vector<Triangle> empty;
     EXPECT_THROW(BvhBuilder().build(empty), std::invalid_argument);
+}
+
+TEST(BvhBuild, NonFiniteVertexThrowsNamingTheTriangle)
+{
+    const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity()};
+    for (float value : bad) {
+        auto tris = randomTriangles(16, 3);
+        Triangle t = tris[0];
+        if (std::isnan(value))
+            t.v0.x = value;
+        else
+            t.v2 = Vec3{value, 0, 0};
+        tris.push_back(t);
+        try {
+            BvhBuilder().build(tris);
+            ADD_FAILURE() << value << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("triangle 16"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 /** Parameterised over sizes: invariants hold at every scale. */

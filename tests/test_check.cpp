@@ -103,8 +103,9 @@ TEST(ReferenceOracle, MatchesIterativeTraversals)
                                           rig().scene.mesh.triangles(),
                                           ray);
         ASSERT_EQ(ref.hit, it.hit);
-        if (ref.hit)
+        if (ref.hit) {
             ASSERT_EQ(ref.t, it.t); // bitwise-equal by construction
+        }
     }
 }
 

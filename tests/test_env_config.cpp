@@ -126,7 +126,6 @@ TEST(EnvConfig, FromEnvironmentDefaults)
     EXPECT_EQ(env.tracePoint, 0u);
     EXPECT_EQ(env.telemetryPeriod, 256u);
     EXPECT_EQ(env.scale, 1);
-    EXPECT_EQ(env.selfbenchReps, 3);
 }
 
 TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
@@ -135,7 +134,7 @@ TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
         tp("RTP_TRACE_POINT", "2"), te("RTP_TELEMETRY", "/tmp/m.json"),
         tep("RTP_TELEMETRY_POINT", "1"),
         per("RTP_TELEMETRY_PERIOD", "512"), j("RTP_JSON_DIR", "/tmp"),
-        sc("RTP_SCALE", "2"), r("RTP_SELFBENCH_REPS", "5");
+        sc("RTP_SCALE", "2");
     EnvConfig env = EnvConfig::fromEnvironment();
     EXPECT_TRUE(env.check);
     EXPECT_EQ(env.tracePath, "/tmp/t.json");
@@ -145,28 +144,30 @@ TEST(EnvConfig, FromEnvironmentParsesEverySupportedVar)
     EXPECT_EQ(env.telemetryPeriod, 512u);
     EXPECT_EQ(env.jsonDir, "/tmp");
     EXPECT_EQ(env.scale, 2);
-    EXPECT_EQ(env.selfbenchReps, 5);
 }
 
 TEST(EnvConfig, RemovedKnobsFailLoudly)
 {
-    // RTP_KERNEL, RTP_BACKEND, RTP_SERVICE and RTP_METRICS selected
-    // code that no longer exists. Every non-empty value — including the
-    // old defaults — must throw and say so, rather than silently run
-    // the remaining kernel, predictor table and sweep path, or silently
-    // write no metrics file.
+    // RTP_KERNEL, RTP_BACKEND, RTP_SERVICE, RTP_METRICS and
+    // RTP_SELFBENCH_REPS selected code that no longer exists. Every
+    // non-empty value — including the old defaults — must throw and say
+    // so, rather than silently run the remaining kernel, predictor table
+    // and sweep path, or silently write no metrics file.
     ScopedEnv k("RTP_KERNEL", nullptr), b("RTP_BACKEND", nullptr),
-        s("RTP_SERVICE", nullptr), m("RTP_METRICS", nullptr);
+        s("RTP_SERVICE", nullptr), m("RTP_METRICS", nullptr),
+        r("RTP_SELFBENCH_REPS", nullptr);
     const std::vector<std::string> oldSelectors = {
         "scalar", "soa", "hash", "learned", "x"};
     const std::vector<std::string> oldFlags = {"0", "1", "x"};
     const std::vector<std::string> oldPaths = {"0", "1",
                                                "out/exposition.prom"};
+    const std::vector<std::string> oldReps = {"1", "3", "x"};
     for (const auto &[name, values] :
          {std::pair{"RTP_KERNEL", oldSelectors},
           std::pair{"RTP_BACKEND", oldSelectors},
           std::pair{"RTP_SERVICE", oldFlags},
-          std::pair{"RTP_METRICS", oldPaths}}) {
+          std::pair{"RTP_METRICS", oldPaths},
+          std::pair{"RTP_SELFBENCH_REPS", oldReps}}) {
         for (const std::string &value : values) {
             ScopedEnv knob(name, value.c_str());
             try {

@@ -16,10 +16,9 @@
  * Options (see util/bench_compare.hpp for the comparison rules):
  *   --rel-tol <x>         symmetric tolerance for deterministic
  *                         metrics (default 0.02 = 2%)
- *   --perf-tol <x>        one-sided slower-only tolerance for
- *                         throughput keys (default 0.25 = 25%)
- *   --skip-perf           ignore throughput keys entirely
  *   --include-histograms  also compare "histograms" subtrees
+ *
+ * Host speed is not gated here; perfbench/ measures it.
  *
  * Exits 0 when everything is within tolerance, 1 on regressions, 2 on
  * usage errors, 3 on unreadable or unparseable input. CI runs this
@@ -29,9 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,8 +47,7 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--rel-tol <x>] [--perf-tol <x>] "
-                 "[--skip-perf] [--include-histograms] "
+                 "usage: %s [--rel-tol <x>] [--include-histograms] "
                  "<baseline.json|dir> <current.json|dir>\n",
                  argv0);
     return 2;
@@ -61,19 +57,10 @@ usage(const char *argv0)
 std::optional<JsonValue>
 loadJson(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "bench_diff: cannot open %s\n",
-                     path.c_str());
-        return std::nullopt;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
     std::string error;
-    auto v = rtp::parseJson(buf.str(), &error);
+    auto v = rtp::loadJsonFile(path, &error);
     if (!v)
-        std::fprintf(stderr, "bench_diff: %s: invalid JSON: %s\n",
-                     path.c_str(), error.c_str());
+        std::fprintf(stderr, "bench_diff: %s\n", error.c_str());
     return v;
 }
 
@@ -126,21 +113,19 @@ main(int argc, char **argv)
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--rel-tol" || arg == "--perf-tol") {
+        if (arg == "--rel-tol") {
             if (i + 1 >= argc)
                 return usage(argv[0]);
             char *end = nullptr;
             double v = std::strtod(argv[++i], &end);
             if (!end || *end != '\0' || v < 0.0) {
                 std::fprintf(stderr,
-                             "bench_diff: %s needs a non-negative "
+                             "bench_diff: --rel-tol needs a non-negative "
                              "number, got \"%s\"\n",
-                             arg.c_str(), argv[i]);
+                             argv[i]);
                 return 2;
             }
-            (arg == "--rel-tol" ? opts.relTol : opts.perfTol) = v;
-        } else if (arg == "--skip-perf") {
-            opts.skipPerf = true;
+            opts.relTol = v;
         } else if (arg == "--include-histograms") {
             opts.includeHistograms = true;
         } else if (!arg.empty() && arg[0] == '-') {
