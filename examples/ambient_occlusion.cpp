@@ -79,10 +79,11 @@ main(int argc, char **argv)
             Onb onb(n);
             int occluded = 0;
             for (int s = 0; s < spp; ++s) {
+                float u2 = rng.nextFloat(); // u2 first: a defined order
+                float u1 = rng.nextFloat();
                 Ray ao;
                 ao.origin = p + n * (1e-5f * diag);
-                ao.dir = onb.toWorld(cosineSampleHemisphere(
-                    rng.nextFloat(), rng.nextFloat()));
+                ao.dir = onb.toWorld(cosineSampleHemisphere(u1, u2));
                 ao.tMax = diag * rng.nextRange(0.25f, 0.40f);
                 ao.kind = RayKind::Occlusion;
                 all_ao_rays.push_back(ao);

@@ -60,9 +60,10 @@ main(int argc, char **argv)
         for (int x = 0; x < width; ++x) {
             float radiance = 0.0f;
             for (int s = 0; s < spp; ++s) {
+                float jy = rng.nextFloat(); // jy first: a defined order
+                float jx = rng.nextFloat();
                 Ray ray = scene.camera.generateRay(
-                    (x + rng.nextFloat()) / width,
-                    (y + rng.nextFloat()) / height, 1.0f);
+                    (x + jx) / width, (y + jy) / height, 1.0f);
                 float throughput = 1.0f;
                 for (int b = 0; b <= bounces; ++b) {
                     HitRecord rec = traverseClosestHit(bvh, tris, ray);
@@ -78,10 +79,11 @@ main(int argc, char **argv)
                     if (dot(n, ray.dir) > 0)
                         n = -n;
                     Onb onb(n);
+                    float u2 = rng.nextFloat();
+                    float u1 = rng.nextFloat();
                     Ray next;
                     next.origin = p + n * (1e-5f * diag);
-                    next.dir = onb.toWorld(cosineSampleHemisphere(
-                        rng.nextFloat(), rng.nextFloat()));
+                    next.dir = onb.toWorld(cosineSampleHemisphere(u1, u2));
                     next.kind = RayKind::Secondary;
                     if (b < bounces)
                         bounce_rays.push_back(next);

@@ -28,67 +28,7 @@ traverseAnyHit(const Bvh &bvh, const std::vector<Triangle> &triangles,
                const Ray &ray, TraversalStats *stats,
                std::uint32_t start_node)
 {
-    HitRecord rec;
-    RayBoxPrecomp pre(ray);
-    std::vector<std::uint32_t> stack;
-    stack.reserve(64);
-
-    // Seed: test the start node's box; if missed, traversal is empty.
-    float t_entry;
-    if (stats)
-        stats->boxTests++;
-    if (!intersectRayAabb(ray, pre, bvh.node(start_node).box, t_entry))
-        return rec;
-    stack.push_back(start_node);
-
-    while (!stack.empty()) {
-        if (stats) {
-            stats->maxStackDepth = std::max(
-                stats->maxStackDepth,
-                static_cast<std::uint32_t>(stack.size()));
-        }
-        std::uint32_t node_idx = stack.back();
-        stack.pop_back();
-        const BvhNode &node = bvh.node(node_idx);
-        noteFetch(stats, bvh, node_idx);
-
-        if (node.isLeaf()) {
-            for (std::uint32_t i = 0; i < node.primCount; ++i) {
-                std::uint32_t tri =
-                    bvh.primIndices()[node.firstPrim + i];
-                if (stats)
-                    stats->triTests++;
-                HitRecord h;
-                if (intersectRayTriangle(ray, triangles[tri], h)) {
-                    h.prim = tri;
-                    return h; // any-hit: first intersection terminates
-                }
-            }
-        } else {
-            auto l = static_cast<std::uint32_t>(node.left);
-            auto r = static_cast<std::uint32_t>(node.right);
-            float tl, tr;
-            if (stats)
-                stats->boxTests += 2;
-            bool hit_l = intersectRayAabb(ray, pre, bvh.node(l).box, tl);
-            bool hit_r = intersectRayAabb(ray, pre, bvh.node(r).box, tr);
-            if (hit_l && hit_r) {
-                // Visit the nearer child first: push it last.
-                if (tl <= tr) {
-                    stack.push_back(r);
-                    stack.push_back(l);
-                } else {
-                    stack.push_back(l);
-                    stack.push_back(r);
-                }
-            } else if (hit_l) {
-                stack.push_back(l);
-            } else if (hit_r) {
-                stack.push_back(r);
-            }
-        }
-    }
-    return rec;
+    return BvhTraversal(bvh, triangles).anyHit(ray, stats, start_node);
 }
 
 HitRecord
@@ -96,72 +36,7 @@ traverseClosestHit(const Bvh &bvh, const std::vector<Triangle> &triangles,
                    const Ray &ray, TraversalStats *stats,
                    std::uint32_t start_node)
 {
-    HitRecord best;
-    Ray r = ray; // tMax shrinks as candidates are found
-    RayBoxPrecomp pre(r);
-    std::vector<std::uint32_t> stack;
-    stack.reserve(64);
-
-    float t_entry;
-    if (stats)
-        stats->boxTests++;
-    if (!intersectRayAabb(r, pre, bvh.node(start_node).box, t_entry))
-        return best;
-    stack.push_back(start_node);
-
-    while (!stack.empty()) {
-        if (stats) {
-            stats->maxStackDepth = std::max(
-                stats->maxStackDepth,
-                static_cast<std::uint32_t>(stack.size()));
-        }
-        std::uint32_t node_idx = stack.back();
-        stack.pop_back();
-        const BvhNode &node = bvh.node(node_idx);
-
-        // Re-check against the shrunken interval before fetching.
-        float t_dummy;
-        if (!intersectRayAabb(r, pre, node.box, t_dummy))
-            continue;
-        noteFetch(stats, bvh, node_idx);
-
-        if (node.isLeaf()) {
-            for (std::uint32_t i = 0; i < node.primCount; ++i) {
-                std::uint32_t tri =
-                    bvh.primIndices()[node.firstPrim + i];
-                if (stats)
-                    stats->triTests++;
-                HitRecord h;
-                if (intersectRayTriangle(r, triangles[tri], h)) {
-                    h.prim = tri;
-                    best = h;
-                    r.tMax = h.t;
-                }
-            }
-        } else {
-            auto l = static_cast<std::uint32_t>(node.left);
-            auto rr = static_cast<std::uint32_t>(node.right);
-            float tl, tr;
-            if (stats)
-                stats->boxTests += 2;
-            bool hit_l = intersectRayAabb(r, pre, bvh.node(l).box, tl);
-            bool hit_r = intersectRayAabb(r, pre, bvh.node(rr).box, tr);
-            if (hit_l && hit_r) {
-                if (tl <= tr) {
-                    stack.push_back(rr);
-                    stack.push_back(l);
-                } else {
-                    stack.push_back(l);
-                    stack.push_back(rr);
-                }
-            } else if (hit_l) {
-                stack.push_back(l);
-            } else if (hit_r) {
-                stack.push_back(rr);
-            }
-        }
-    }
-    return best;
+    return BvhTraversal(bvh, triangles).closestHit(ray, stats, start_node);
 }
 
 std::vector<std::uint32_t>
@@ -354,7 +229,7 @@ BvhTraversal::closestHit(const Ray &ray, TraversalStats *stats,
         stats->boxTests++;
     if (!intersectRayAabb(r, pre, bvh_.node(start_node).box, t_entry))
         return best;
-    stack_.push_back(start_node);
+    stack_.push_back({start_node, t_entry});
 
     while (!stack_.empty()) {
         if (stats) {
@@ -362,13 +237,15 @@ BvhTraversal::closestHit(const Ray &ray, TraversalStats *stats,
                 stats->maxStackDepth,
                 static_cast<std::uint32_t>(stack_.size()));
         }
-        std::uint32_t node_idx = stack_.back();
+        const auto [node_idx, node_entry] = stack_.back();
         stack_.pop_back();
         const BvhNode &node = bvh_.node(node_idx);
 
-        // Re-check against the shrunken interval before fetching.
-        float t_dummy;
-        if (!intersectRayAabb(r, pre, node.box, t_dummy))
+        // Skip a box the shrunken interval no longer reaches. Origin,
+        // invDir and tMin are unchanged since the push, and the push
+        // test gave tEntry <= the slab exit, so re-testing the box
+        // would pass iff tEntry <= tMax.
+        if (!(node_entry <= r.tMax))
             continue;
         noteFetch(stats, bvh_, node_idx);
 
@@ -386,16 +263,16 @@ BvhTraversal::closestHit(const Ray &ray, TraversalStats *stats,
                 intersectRayAabb(r, pre, bvh_.node(rr).box, tr);
             if (hit_l && hit_r) {
                 if (tl <= tr) {
-                    stack_.push_back(rr);
-                    stack_.push_back(l);
+                    stack_.push_back({rr, tr});
+                    stack_.push_back({l, tl});
                 } else {
-                    stack_.push_back(l);
-                    stack_.push_back(rr);
+                    stack_.push_back({l, tl});
+                    stack_.push_back({rr, tr});
                 }
             } else if (hit_l) {
-                stack_.push_back(l);
+                stack_.push_back({l, tl});
             } else if (hit_r) {
-                stack_.push_back(rr);
+                stack_.push_back({rr, tr});
             }
         }
     }
@@ -415,7 +292,7 @@ BvhTraversal::anyHit(const Ray &ray, TraversalStats *stats,
         stats->boxTests++;
     if (!intersectRayAabb(ray, pre, bvh_.node(start_node).box, t_entry))
         return rec;
-    stack_.push_back(start_node);
+    stack_.push_back({start_node, t_entry});
 
     while (!stack_.empty()) {
         if (stats) {
@@ -423,7 +300,7 @@ BvhTraversal::anyHit(const Ray &ray, TraversalStats *stats,
                 stats->maxStackDepth,
                 static_cast<std::uint32_t>(stack_.size()));
         }
-        std::uint32_t node_idx = stack_.back();
+        const std::uint32_t node_idx = stack_.back().node;
         stack_.pop_back();
         const BvhNode &node = bvh_.node(node_idx);
         noteFetch(stats, bvh_, node_idx);
@@ -443,16 +320,16 @@ BvhTraversal::anyHit(const Ray &ray, TraversalStats *stats,
                 intersectRayAabb(ray, pre, bvh_.node(r).box, tr);
             if (hit_l && hit_r) {
                 if (tl <= tr) {
-                    stack_.push_back(r);
-                    stack_.push_back(l);
+                    stack_.push_back({r, tr});
+                    stack_.push_back({l, tl});
                 } else {
-                    stack_.push_back(l);
-                    stack_.push_back(r);
+                    stack_.push_back({l, tl});
+                    stack_.push_back({r, tr});
                 }
             } else if (hit_l) {
-                stack_.push_back(l);
+                stack_.push_back({l, tl});
             } else if (hit_r) {
-                stack_.push_back(r);
+                stack_.push_back({r, tr});
             }
         }
     }

@@ -90,11 +90,11 @@ HitRecord bruteForceClosestHit(const std::vector<Triangle> &triangles,
 /**
  * Reusable traversal context for tracing many rays against one scene.
  *
- * Functionally identical to traverseAnyHit / traverseClosestHit (same
- * loop, same near-first ordering, same interval handling). The
- * traversal stack is a member, so tracing N rays performs no per-ray
- * heap allocation — the throughput win for per-frame batch work
- * (raygen's primary-hit loops trace one ray per pixel).
+ * traverseAnyHit / traverseClosestHit trace one ray on a fresh context.
+ * The traversal stack is a member, so tracing N rays on one context
+ * performs no per-ray heap allocation — the throughput win for
+ * per-frame batch work (raygen's primary-hit loops trace one ray per
+ * pixel).
  */
 class BvhTraversal
 {
@@ -128,9 +128,16 @@ class BvhTraversal
     bool leafAny(const Ray &ray, const BvhNode &node, HitRecord &out,
                  TraversalStats *stats);
 
+    /** A pushed node and the ray's entry distance into its box. */
+    struct StackEntry
+    {
+        std::uint32_t node;
+        float tEntry;
+    };
+
     const Bvh &bvh_;
     const std::vector<Triangle> &triangles_;
-    std::vector<std::uint32_t> stack_;
+    std::vector<StackEntry> stack_;
 };
 
 } // namespace rtp

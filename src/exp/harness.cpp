@@ -125,12 +125,17 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
                         budget.sweepThreads);
 
     std::vector<SimPoint> observed = points;
-    TraceSink sink;
+    // A sweep point at RTP_SCALE=1 emits up to about 2 M events (the
+    // 14 points of bench_fig13_memaccess emit 1.09-1.99 M), so the ring
+    // holds 2 Mi (~80 MB) and such a trace is whole.
+    constexpr std::size_t kSweepTraceEvents = std::size_t{1} << 21;
+    std::unique_ptr<TraceSink> sink;
     std::size_t trace_idx = 0;
     if (want_trace) {
         traceConsumed = true;
         trace_idx = clampPointIndex(env.tracePoint, points.size());
-        observed[trace_idx].config.trace = &sink;
+        sink = std::make_unique<TraceSink>(kSweepTraceEvents);
+        observed[trace_idx].config.trace = sink.get();
     }
 
     std::unique_ptr<TelemetrySampler> sampler;
@@ -164,13 +169,13 @@ runSimPoints(const std::vector<SimPoint> &points, const char *label)
 
     if (want_trace) {
         if (ensureParentDir(env.tracePath) &&
-            sink.writeChromeTrace(env.tracePath))
+            sink->writeChromeTrace(env.tracePath))
             std::fprintf(stderr,
                          "[rtp-harness] wrote trace %s "
                          "(%zu events, %llu dropped, point %zu)\n",
-                         env.tracePath.c_str(), sink.size(),
+                         env.tracePath.c_str(), sink->size(),
                          static_cast<unsigned long long>(
-                             sink.dropped()),
+                             sink->dropped()),
                          trace_idx);
         else
             std::fprintf(stderr,

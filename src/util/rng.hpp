@@ -39,11 +39,35 @@ class Rng
     nextU32()
     {
         std::uint64_t old = state_;
-        state_ = old * 6364136223846793005ULL + inc_;
+        state_ = old * kMultiplier + inc_;
         std::uint32_t xorshifted =
             static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
         std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
         return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
+    }
+
+    /**
+     * Skip @p delta draws in O(log delta): afterwards the generator is
+     * where @p delta calls of nextU32() would have left it (Brown,
+     * "Random number generation with arbitrary strides", 1994).
+     * nextU32, nextFloat and nextRange are one draw each.
+     */
+    void
+    advance(std::uint64_t delta)
+    {
+        std::uint64_t cur_mult = kMultiplier;
+        std::uint64_t cur_plus = inc_;
+        std::uint64_t acc_mult = 1u;
+        std::uint64_t acc_plus = 0u;
+        for (; delta > 0; delta >>= 1u) {
+            if (delta & 1u) {
+                acc_mult *= cur_mult;
+                acc_plus = acc_plus * cur_mult + cur_plus;
+            }
+            cur_plus = (cur_mult + 1u) * cur_plus;
+            cur_mult *= cur_mult;
+        }
+        state_ = acc_mult * state_ + acc_plus;
     }
 
     /** @return A uniformly distributed value in [0, bound). */
@@ -70,6 +94,8 @@ class Rng
     }
 
   private:
+    static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
+
     std::uint64_t state_;
     std::uint64_t inc_;
 };

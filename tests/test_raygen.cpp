@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ios>
+
 #include "bvh/builder.hpp"
 #include "bvh/traversal.hpp"
 #include "rays/raygen.hpp"
@@ -292,6 +294,139 @@ TEST(RayGen, ViewportCropNarrowsSpread)
         return length(hi - lo);
     };
     EXPECT_LT(spread(b), spread(a) * 0.5f);
+}
+
+/**
+ * 64-bit FNV-1a over every generated field of a batch. Fields are
+ * hashed one by one: Ray has padding after its kind byte.
+ */
+std::uint64_t
+batchDigest(const RayBatch &batch)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto add = [&h](const auto &value) {
+        const auto *p = reinterpret_cast<const unsigned char *>(&value);
+        for (std::size_t i = 0; i < sizeof value; ++i)
+            h = (h ^ p[i]) * 0x100000001b3ULL;
+    };
+    add(batch.primaryRays);
+    add(batch.primaryHits);
+    add(batch.rays.size());
+    for (const Ray &r : batch.rays) {
+        for (float f : {r.origin.x, r.origin.y, r.origin.z, r.dir.x,
+                        r.dir.y, r.dir.z, r.tMin, r.tMax})
+            add(f);
+        add(r.kind);
+    }
+    return h;
+}
+
+/** perfbench's ray-generation settings: 96x96 crop of a 1024 frame. */
+RayGenConfig
+perfbenchConfig(std::uint64_t seed)
+{
+    RayGenConfig cfg;
+    cfg.width = 96;
+    cfg.height = 96;
+    cfg.samplesPerPixel = 4;
+    cfg.viewportFraction = 96.0f / 1024.0f;
+    cfg.photonCount = 0;
+    cfg.photonBounces = 2;
+    cfg.seed = seed;
+    return cfg;
+}
+
+// Digests recorded from the serial generators. Seed 15's LR photon
+// batch has a photon that stops before full depth; the open quad
+// stops most of its photons early; photonCount 3 leaves a parallel
+// chunk empty.
+TEST(RayGen, GoldenDigest)
+{
+    struct Golden
+    {
+        SceneId id;
+        std::uint64_t seed;
+        std::uint64_t ao;
+        std::uint64_t photon;
+    };
+    const Golden golden[] = {
+        {SceneId::Sibenik, 1, 0x26acb1f8e7d80395ULL,
+         0xd7c372a685a1c9faULL},
+        {SceneId::Sibenik, 15, 0x891df24e649e633ULL,
+         0xf0a4a264319c3c33ULL},
+        {SceneId::CrytekSponza, 1, 0xbe4848ed050aa7b3ULL,
+         0xdf7cf01e39d24a39ULL},
+        {SceneId::CrytekSponza, 15, 0xefc9773e92580afcULL,
+         0x42f92e7eb04d5720ULL},
+        {SceneId::LostEmpire, 1, 0x24100f2dc8ae64afULL,
+         0xe3ce27c63c0150deULL},
+        {SceneId::LostEmpire, 15, 0x5a8854fbd7d7d7ddULL,
+         0x280aaf5632b334acULL},
+        {SceneId::LivingRoom, 1, 0xb166c511e9a2034ULL,
+         0x2caf94839535ffeaULL},
+        {SceneId::LivingRoom, 15, 0xc9c9d7656724c3abULL,
+         0x7312231e05194613ULL},
+        {SceneId::FireplaceRoom, 1, 0x65be65cc8c316e90ULL,
+         0xfff58a353bd6e9eaULL},
+        {SceneId::FireplaceRoom, 15, 0x756e32a78097077cULL,
+         0x54ec4465e7c6b148ULL},
+        {SceneId::BistroInterior, 1, 0xd2685df0210de68aULL,
+         0xdb20ab0e539528d8ULL},
+        {SceneId::BistroInterior, 15, 0xe5859e27a917bde9ULL,
+         0xc74fdcedade06768ULL},
+        {SceneId::CountryKitchen, 1, 0x22e4e7b53587162dULL,
+         0x738523233db2f392ULL},
+        {SceneId::CountryKitchen, 15, 0x57d1b4cd65eeb967ULL,
+         0x6886150f6d322880ULL},
+    };
+    for (const Golden &g : golden) {
+        Scene s = makeScene(g.id, 0.12f);
+        Bvh bvh = BvhBuilder().build(s.mesh.triangles());
+        const RayGenConfig cfg = perfbenchConfig(g.seed);
+        const std::uint64_t ao = batchDigest(generateAoRays(s, bvh, cfg));
+        const std::uint64_t photon =
+            batchDigest(generatePhotonRays(s, bvh, cfg));
+        EXPECT_EQ(ao, g.ao) << sceneShortName(g.id) << " seed " << g.seed
+                            << " ao got 0x" << std::hex << ao;
+        EXPECT_EQ(photon, g.photon)
+            << sceneShortName(g.id) << " seed " << g.seed
+            << " photon got 0x" << std::hex << photon;
+    }
+
+    // One quad under a light: about 5 in 6 photons miss at emission and
+    // every bounce escapes, and the camera sees the quad's edge.
+    Scene open{};
+    open.mesh.addQuad(Vec3{-1, 0, -1}, Vec3{1, 0, -1}, Vec3{1, 0, 1},
+                      Vec3{-1, 0, 1});
+    open.camera = Camera(Vec3{0, 1.5f, 3}, Vec3{0.5f, 0, 0.5f},
+                         Vec3{0, 1, 0}, 60.0f);
+    Bvh open_bvh = BvhBuilder().build(open.mesh.triangles());
+    const Vec3 light{0, 1, 0};
+    const std::uint64_t open_golden[][2] = {
+        {0x79f5c2300db1aa56ULL, 0xff9b434393be1b2dULL},
+        {0xa1e4398c2bad716eULL, 0xd9aa63b3956c70ddULL}};
+    for (std::uint64_t seed : {1u, 15u}) {
+        RayGenConfig cfg;
+        cfg.width = 32;
+        cfg.height = 32;
+        cfg.photonCount = 2000;
+        cfg.seed = seed;
+        const std::uint64_t ao =
+            batchDigest(generateAoRays(open, open_bvh, cfg));
+        const std::uint64_t photon =
+            batchDigest(generatePhotonRays(open, open_bvh, cfg, &light));
+        const auto &want = open_golden[seed == 1 ? 0 : 1];
+        EXPECT_EQ(ao, want[0]) << "open seed " << seed << " ao got 0x"
+                               << std::hex << ao;
+        EXPECT_EQ(photon, want[1]) << "open seed " << seed
+                                   << " photon got 0x" << std::hex << photon;
+    }
+
+    RayGenConfig three;
+    three.photonCount = 3;
+    const std::uint64_t tiny = batchDigest(
+        generatePhotonRays(fixture().scene, fixture().bvh, three));
+    EXPECT_EQ(tiny, 0xd5c5ece61f01e31bULL) << "3 photons got 0x" << std::hex << tiny;
 }
 
 } // namespace

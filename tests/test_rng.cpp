@@ -75,5 +75,18 @@ TEST(Rng, RoughUniformityOfFloats)
         EXPECT_NEAR(buckets[b], n / 10, n / 100);
 }
 
+TEST(Rng, AdvanceMatchesRepeatedDraws)
+{
+    for (std::uint64_t n :
+         {0ull, 1ull, 2ull, 63ull, 64ull, 1000ull, (1ull << 20) + 3}) {
+        Rng stepped(99, 41), jumped(99, 41);
+        for (std::uint64_t i = 0; i < n; ++i)
+            stepped.nextU32();
+        jumped.advance(n);
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(jumped.nextU32(), stepped.nextU32()) << "n=" << n;
+    }
+}
+
 } // namespace
 } // namespace rtp
