@@ -92,8 +92,11 @@ BM_PredictorTableLookup(benchmark::State &state)
     PredictorTableConfig cfg;
     PredictorTable table(cfg, 15);
     Rng rng(4);
-    for (int i = 0; i < 2000; ++i)
-        table.update(rng.nextBounded(1 << 15), rng.nextBounded(1 << 27));
+    for (int i = 0; i < 2000; ++i) {
+        std::uint32_t node = rng.nextBounded(1 << 27);
+        std::uint32_t hash = rng.nextBounded(1 << 15);
+        table.update(hash, node);
+    }
     std::uint32_t h = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(table.lookup(h));

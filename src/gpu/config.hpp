@@ -35,8 +35,10 @@ struct SimConfig
      * value). 1 = the sequential reference loop; >= 2 = the sharded
      * loop with min(simThreads, numSms) workers, each advancing a
      * subset of SMs and meeting at the L2/DRAM seam in exact
-     * (cycle, sm) order (see docs/performance.md). Driven by the
-     * RTP_SIM_THREADS env var in the bench harness. Must be >= 1.
+     * (cycle, sm) order (see docs/performance.md). A run with a trace
+     * sink or a telemetry sampler always takes the sequential loop.
+     * Driven by the RTP_SIM_THREADS env var in the bench harness. Must
+     * be >= 1.
      */
     std::uint32_t simThreads = 1;
 

@@ -6,14 +6,11 @@
 #include "util/profile.hpp"
 #include "util/schema.hpp"
 #include "util/telemetry.hpp"
-#include "util/trace.hpp"
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -165,23 +162,17 @@ throwStuckUnit(std::uint32_t sm, Cycle now, std::uint64_t outstanding)
 }
 
 /**
- * Attach one observer bundle per SM to its RT unit (which forwards it
- * to its buffer, queue, collector and predictor) and to its slice of
- * the memory system. SM s reports to @p sinks[s] instead of
- * @p obs.trace when @p sinks is non-empty (the sharded loop's shard
- * sinks); an empty @p obs detaches everything.
+ * Attach one observer bundle to every RT unit (which forwards it to its
+ * buffer, queue, collector and predictor) and to the memory system; an
+ * empty @p obs detaches everything.
  */
 void
 attachObservers(std::vector<std::unique_ptr<RtUnit>> &units,
-                MemorySystem &mem, Observers obs,
-                const std::vector<TraceSink *> &sinks = {})
+                MemorySystem &mem, const Observers &obs)
 {
-    for (std::uint32_t s = 0; s < units.size(); ++s) {
-        if (!sinks.empty())
-            obs.trace = sinks[s];
-        units[s]->attach(obs);
-        mem.attach(s, obs);
-    }
+    for (auto &unit : units)
+        unit->attach(obs);
+    mem.attach(obs);
 }
 
 /**
@@ -189,7 +180,7 @@ attachObservers(std::vector<std::unique_ptr<RtUnit>> &units,
  * earliest pending event, ties to the lowest SM index. The sharded
  * loop reproduces exactly this order at the shared-memory seam, so
  * this loop stays selectable (simThreads = 1) as the equivalence
- * baseline.
+ * baseline; it also runs every traced or sampled run.
  */
 void
 runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units,
@@ -272,49 +263,21 @@ runSequentialLoop(std::vector<std::unique_ptr<RtUnit>> &units,
 
 /**
  * The sharded event loop: each worker owns the SMs congruent to its
- * index mod the worker count and advances them with the same local
- * earliest-(cycle, sm) rule the sequential loop uses globally. Shared
- * L2/DRAM accesses synchronise through the ShardGate (see
+ * index mod the worker count and runs them to completion with the same
+ * local earliest-(cycle, sm) rule the sequential loop uses globally.
+ * Shared L2/DRAM accesses synchronise through the ShardGate (see
  * gpu/shard.hpp), so the shared levels observe the exact sequential
- * order and every output — stats, trace, telemetry, checker — is
- * byte-identical to simThreads = 1.
- *
- * Telemetry turns the sampling period into a cycle horizon: workers
- * process every event strictly below the next sample boundary, park at
- * a barrier, the driver samples (observing exactly the all-events-
- * below-the-boundary state the sequential loop samples), advances the
- * horizon, and releases the workers. Without telemetry there is a
- * single infinite horizon and workers run to completion barrier-free.
+ * order and the result, the profile and the checker's probes are
+ * byte-identical to simThreads = 1. Traced and sampled runs never get
+ * here (see runEventLoop).
  */
 void
 runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
-               MemorySystem &mem, const SimConfig &config,
-               std::uint32_t num_workers)
+               MemorySystem &mem, std::uint32_t num_workers)
 {
     const std::uint32_t num_sms =
         static_cast<std::uint32_t>(units.size());
-    TelemetrySampler *telemetry = config.telemetry;
     ShardGate gate(num_sms);
-
-    // Per-SM order-tagged trace sinks. The preamble (submit-time warp
-    // dispatches) is already in the real sink; from here on every
-    // component of SM s emits into shard sink s, stamped with the
-    // (cycle, sm) key of the step that emitted it, and the shards are
-    // stably merged into the real sink after the run.
-    std::vector<std::unique_ptr<TraceSink>> shard_sinks;
-    std::vector<TraceSink *> sink_ptrs;
-    if (config.trace) {
-        shard_sinks.reserve(num_sms);
-        for (std::uint32_t s = 0; s < num_sms; ++s) {
-            shard_sinks.push_back(std::make_unique<TraceSink>(1));
-            shard_sinks.back()->enableOrderTagging();
-            sink_ptrs.push_back(shard_sinks.back().get());
-        }
-        attachObservers(units, mem,
-                        {config.trace, config.profile, config.check},
-                        sink_ptrs);
-    }
-    mem.setShardGate(&gate);
 
     // Initial progress: next event cycle, or done for idle SMs.
     for (std::uint32_t s = 0; s < num_sms; ++s) {
@@ -327,21 +290,11 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
             gate.setProgress(s, rt->nextEventCycle());
     }
 
-    // Horizon barrier: hand-rolled so the main thread can run the
-    // sampler between epochs while every worker is parked.
-    std::mutex m;
-    std::condition_variable cv_worker, cv_main;
-    std::size_t parked = 0;
-    std::uint64_t epoch = 0;
-    bool done = false;
-    Cycle horizon =
-        telemetry ? telemetry->nextSampleCycle() : ShardGate::kDone;
-    std::vector<std::exception_ptr> errors(num_workers);
-
-    // One epoch of local leader-stepping: run every owned event with
-    // cycle < the epoch's horizon.
-    auto run_epoch = [&](const std::vector<std::uint32_t> &mine,
-                         Cycle h) {
+    // Local leader-stepping over worker @p w's SMs until all finish.
+    auto run_shard = [&](std::uint32_t w) {
+        std::vector<std::uint32_t> mine;
+        for (std::uint32_t s = w; s < num_sms; s += num_workers)
+            mine.push_back(s);
         Cycle last_stepped = 0;
         while (true) {
             if (gate.aborted())
@@ -365,12 +318,9 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
                     next_sm = s;
                 }
             }
-            if (!next || best >= h)
+            if (!next)
                 return;
             last_stepped = best;
-            if (!sink_ptrs.empty())
-                sink_ptrs[next_sm]->setOrderKey(
-                    best, static_cast<std::uint16_t>(next_sm));
             // progress[next_sm] == best already (published after the
             // previous step), so waitTurn inside any shared access of
             // this step sees the correct key.
@@ -386,111 +336,30 @@ runShardedLoop(std::vector<std::unique_ptr<RtUnit>> &units,
         }
     };
 
-    auto worker_fn = [&](std::uint32_t w) {
-        std::vector<std::uint32_t> mine;
-        for (std::uint32_t s = w; s < num_sms; s += num_workers)
-            mine.push_back(s);
-        bool erred = false;
-        Cycle h;
-        {
-            std::unique_lock<std::mutex> lk(m);
-            h = horizon;
-        }
-        while (true) {
-            if (!erred) {
+    // A failing worker records its error and aborts the gate, so every
+    // other worker drains (waitTurn throws ShardAbort) instead of
+    // waiting on SMs that will never advance.
+    std::vector<std::exception_ptr> errors(num_workers);
+    mem.setShardGate(&gate);
+    {
+        std::vector<std::jthread> workers;
+        workers.reserve(num_workers);
+        for (std::uint32_t w = 0; w < num_workers; ++w)
+            workers.emplace_back([&, w] {
                 try {
-                    run_epoch(mine, h);
+                    run_shard(w);
                 } catch (const ShardAbort &) {
-                    erred = true;
                 } catch (...) {
                     errors[w] = std::current_exception();
                     gate.requestAbort();
-                    erred = true;
                 }
-                if (erred)
-                    // Nobody may wait on a dead worker's SMs: publish
-                    // "done" so other workers drain instead of hanging,
-                    // then keep participating in barriers so the park
-                    // accounting stays balanced until the driver stops.
-                    for (std::uint32_t s : mine)
-                        gate.setProgress(s, ShardGate::kDone);
-            }
-            std::unique_lock<std::mutex> lk(m);
-            parked++;
-            if (parked == num_workers)
-                cv_main.notify_one();
-            std::uint64_t e = epoch;
-            cv_worker.wait(lk,
-                           [&] { return done || epoch != e; });
-            if (done)
-                return;
-            h = horizon;
-        }
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(num_workers);
-    for (std::uint32_t w = 0; w < num_workers; ++w)
-        workers.emplace_back(worker_fn, w);
-
-    {
-        std::unique_lock<std::mutex> lk(m);
-        while (true) {
-            cv_main.wait(lk, [&] { return parked == num_workers; });
-            if (gate.aborted())
-                break;
-            Cycle earliest = ShardGate::kDone;
-            for (std::uint32_t s = 0; s < num_sms; ++s)
-                earliest = std::min(earliest, gate.progress(s));
-            if (earliest == ShardGate::kDone)
-                break; // every SM finished
-            if (!telemetry) {
-                // Without a horizon, workers only park when all their
-                // SMs are finished or on abort; pending events here
-                // mean the protocol broke.
-                gate.requestAbort();
-                done = true;
-                epoch++;
-                cv_worker.notify_all();
-                lk.unlock();
-                for (std::thread &t : workers)
-                    t.join();
-                mem.setShardGate(nullptr);
-                throw std::logic_error(
-                    "runShardedLoop: barrier reached with pending "
-                    "events but no sampling horizon");
-            }
-            // All events < horizon are processed and the earliest
-            // pending event is `earliest`, so the observable state is
-            // exactly what the sequential loop exposes to
-            // sampleUpTo(earliest) before stepping that event.
-            telemetry->sampleUpTo(earliest);
-            horizon = telemetry->nextSampleCycle();
-            parked = 0;
-            epoch++;
-            cv_worker.notify_all();
-        }
-        done = true;
-        epoch++;
-        cv_worker.notify_all();
+            });
     }
-    for (std::thread &t : workers)
-        t.join();
     mem.setShardGate(nullptr);
 
     for (std::uint32_t w = 0; w < num_workers; ++w)
         if (errors[w])
             std::rethrow_exception(errors[w]);
-
-    if (config.trace) {
-        // Stable (cycle, sm) merge of the shard streams into the real
-        // ring sink reproduces the sequential emission order, including
-        // ring-wrap and drop accounting. The shard sinks die here;
-        // nothing emits between this return and runEventLoop's detach.
-        std::vector<const TraceSink *> shards(sink_ptrs.begin(),
-                                              sink_ptrs.end());
-        TraceSink::mergeTaggedShards(shards, *config.trace);
-    }
 }
 
 /**
@@ -544,10 +413,14 @@ runEventLoop(std::vector<std::unique_ptr<RtUnit>> &units,
             units[s]->submit(per_sm_rays[s], per_sm_ids[s]);
     }
 
+    // A trace or a telemetry timeline records one global event order,
+    // which only the sequential loop has. The profiler and the checker
+    // run on either loop: their per-SM slices are touched only by the
+    // owning worker, shared-level probes only inside the gated seam.
     std::uint32_t shard_workers =
         std::min<std::uint32_t>(config.simThreads, num_sms);
-    if (shard_workers >= 2)
-        runShardedLoop(units, mem, config, shard_workers);
+    if (shard_workers >= 2 && !config.trace && !telemetry)
+        runShardedLoop(units, mem, shard_workers);
     else
         runSequentialLoop(units, telemetry);
 

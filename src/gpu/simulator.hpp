@@ -12,10 +12,12 @@
  * the sequential reference loop (simThreads = 1) and a sharded loop
  * (simThreads >= 2) that runs each SM's events on one of
  * min(simThreads, numSms) worker threads, synchronising at the shared
- * L2/DRAM seam through the ShardGate protocol (gpu/shard.hpp). The two
- * are byte-identical in every output — SimResult JSON, trace, telemetry,
- * and checker behaviour — at any thread count; tests/test_sharded_equiv
- * and the CI determinism steps lock this in.
+ * L2/DRAM seam through the ShardGate protocol (gpu/shard.hpp). A run
+ * with a trace sink or a telemetry sampler takes the sequential loop
+ * whatever simThreads says: both record one global event order. The
+ * SimResult JSON, the profile and the checker's probe count are
+ * byte-identical at any thread count; tests/test_sharded_equiv and the
+ * CI determinism steps lock this in.
  *
  * The one entry point is the Simulation facade: construct it from a
  * SimConfig and a scene (BVH + triangles), then call run(rays) as many

@@ -8,7 +8,7 @@ namespace rtp {
 
 MemorySystem::MemorySystem(const MemoryConfig &config,
                            std::uint32_t num_sms)
-    : config_(config), dram_(config.dram), observers_(num_sms)
+    : config_(config), dram_(config.dram)
 {
     for (std::uint32_t i = 0; i < num_sms; ++i)
         l1s_.push_back(std::make_unique<CacheModel>(
@@ -21,7 +21,6 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
 {
     MemAccess result;
     result.servedBy = MemLevel::L1;
-    const Observers &obs = observers_[sm];
 
     auto l2_fill = [&](std::uint64_t line_addr, Cycle c) -> Cycle {
         result.servedBy = MemLevel::Dram;
@@ -38,11 +37,6 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
         // enter, so the whole fill (L2 lookup + DRAM) is exclusive.
         if (gate_)
             gate_->waitTurn(sm);
-        // Shared-level events belong to the step that caused them:
-        // route the L2 and DRAM to the requesting SM's bundle (its
-        // order-tagged shard sink in the sharded loop) for this fill.
-        l2_->attach(obs);
-        dram_.attach(obs);
         if (!config_.l2Enabled) {
             result.servedBy = MemLevel::Dram;
             return dram_.access(line_addr, c + config_.l1ToL2Latency +
@@ -59,8 +53,8 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
     result.l1MshrMerged = l1_res.merged;
     if (l1_res.merged)
         result.servedBy = MemLevel::L1;
-    if (obs.profile)
-        obs.profile->noteMemLevel(
+    if (observers_.profile)
+        observers_.profile->noteMemLevel(
             sm, result.servedBy == MemLevel::Dram
                     ? 3
                     : (result.servedBy == MemLevel::L2 ? 2 : 1));
@@ -68,12 +62,11 @@ MemorySystem::access(std::uint32_t sm, std::uint64_t addr, Cycle cycle)
 }
 
 void
-MemorySystem::attach(std::uint32_t sm, const Observers &obs)
+MemorySystem::attach(const Observers &obs)
 {
-    observers_[sm] = obs;
-    l1s_[sm]->attach(obs);
-    // Every fill re-points the shared levels (see access()); attaching
-    // them here as well makes an empty bundle detach the whole system.
+    observers_ = obs;
+    for (auto &l1 : l1s_)
+        l1->attach(obs);
     l2_->attach(obs);
     dram_.attach(obs);
 }

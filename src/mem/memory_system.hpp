@@ -91,18 +91,13 @@ class MemorySystem
     }
 
     /**
-     * Attach SM @p sm's observers (an empty bundle detaches) to its L1
-     * and to the accesses it issues: the level that served each access
-     * goes to the profiler's L1/L2/DRAM stall classification in that
-     * SM's slice. The shared L2 and DRAM report to the bundle of the SM
-     * whose fill reaches them; they are re-pointed at the top of every
-     * fill, inside the ShardGate's serialised seam in the sharded loop,
-     * so an SM whose bundle carries an order-tagged shard sink gets the
-     * shared-level events its steps caused. Trace events carry fixed
-     * ids: L1 i is unit i at level 1, the L2 unit 0 at level 2, DRAM
-     * its bank index.
+     * Attach one observer bundle (an empty bundle detaches) to every
+     * L1, the L2 and the DRAM. The level that served each access goes
+     * to the profiler's L1/L2/DRAM stall classification in the issuing
+     * SM's slice. Trace events carry fixed ids: L1 i is unit i at level
+     * 1, the L2 unit 0 at level 2, DRAM its bank index.
      */
-    void attach(std::uint32_t sm, const Observers &obs);
+    void attach(const Observers &obs);
 
     /**
      * Attach the sharded event loop's ordering gate (nullptr detaches).
@@ -147,8 +142,8 @@ class MemorySystem
     std::vector<std::unique_ptr<CacheModel>> l1s_;
     std::unique_ptr<CacheModel> l2_;
     DramModel dram_;
-    ShardGate *gate_ = nullptr;         //!< sharded loop only
-    std::vector<Observers> observers_;  //!< per SM, index = SM id
+    ShardGate *gate_ = nullptr; //!< sharded loop only
+    Observers observers_;
 };
 
 } // namespace rtp

@@ -10,8 +10,8 @@
  * empty bundle detaches everything. The telemetry sampler is pull-based
  * (it reads components between events) and stays outside the bundle.
  *
- * Simulation::run attaches one bundle per SM at the start of every
- * run and an empty one at its end, so a component that outlives
+ * Simulation::run attaches one bundle to every component at the start
+ * of every run and an empty one at its end, so a component that outlives
  * a run (a PredictorSet's predictors) never keeps a previous run's
  * observers. All three are pure observers: attaching any of them never
  * changes simulated cycles or statistics.

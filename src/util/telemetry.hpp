@@ -163,18 +163,6 @@ class TelemetrySampler
         return period_;
     }
 
-    /**
-     * The next period boundary a sample will be taken at. The sharded
-     * event loop uses this as its cycle horizon: workers run every
-     * event strictly below it, barrier, and the driver samples exactly
-     * the state the sequential loop would have observed.
-     */
-    Cycle
-    nextSampleCycle() const
-    {
-        return nextSample_;
-    }
-
     bool
     attached() const
     {

@@ -29,42 +29,6 @@ TraceSink::clear()
     size_ = 0;
 }
 
-void
-TraceSink::mergeTaggedShards(const std::vector<const TraceSink *> &shards,
-                             TraceSink &out)
-{
-    // K-way merge over per-shard cursors. Every shard's key sequence is
-    // non-decreasing, so repeatedly emitting the globally smallest
-    // (orderCycle, orderSm) head reproduces the sequential emission
-    // order; keys never tie across shards that matter (a key's orderSm
-    // belongs to exactly one shard sink), and equal keys within one
-    // shard keep their FIFO order because the cursor only moves forward.
-    std::vector<std::size_t> cursor(shards.size(), 0);
-    while (true) {
-        std::size_t best = shards.size();
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            const auto &ev = shards[i]->tagged_;
-            if (cursor[i] >= ev.size())
-                continue;
-            if (best == shards.size())
-                best = i;
-            else {
-                const TaggedEvent &a = ev[cursor[i]];
-                const TaggedEvent &b =
-                    shards[best]->tagged_[cursor[best]];
-                if (a.orderCycle < b.orderCycle ||
-                    (a.orderCycle == b.orderCycle &&
-                     a.orderSm < b.orderSm))
-                    best = i;
-            }
-        }
-        if (best == shards.size())
-            break;
-        out.emit(shards[best]->tagged_[cursor[best]].event);
-        cursor[best]++;
-    }
-}
-
 const char *
 TraceSink::kindName(TraceEventKind kind)
 {

@@ -64,9 +64,9 @@ struct TraceEvent
  * drop count is reported in the exported trace.
  *
  * Not thread-safe: one sink observes one simulation run, which executes
- * on a single harness worker thread. The sharded event loop gives each
- * SM its own order-tagged sink (see enableOrderTagging) and merges the
- * shards into the run's real sink afterwards, preserving this contract.
+ * on a single harness worker thread. A traced run always takes the
+ * sequential event loop (even at simThreads >= 2), so events arrive in
+ * the one global order and from one thread.
  */
 class TraceSink
 {
@@ -78,10 +78,6 @@ class TraceSink
     void
     emit(const TraceEvent &ev)
     {
-        if (tagging_) {
-            tagged_.push_back({orderCycle_, orderSm_, ev});
-            return;
-        }
         if (size_ < ring_.size()) {
             ring_[(head_ + size_) % ring_.size()] = ev;
             size_++;
@@ -131,70 +127,11 @@ class TraceSink
     /** Stable lowercase name of an event kind (trace "name" field). */
     static const char *kindName(TraceEventKind kind);
 
-    /**
-     * One emission recorded in order-tagged mode: the event plus the
-     * (event-loop cycle, SM index) key of the step that emitted it.
-     */
-    struct TaggedEvent
-    {
-        Cycle orderCycle = 0;
-        std::uint16_t orderSm = 0;
-        TraceEvent event;
-    };
-
-    /**
-     * Switch this sink into order-tagged shard mode: emit() appends
-     * {order key, event} to an unbounded store (no ring, no drops)
-     * instead of the ring. The sharded event loop gives each SM such a
-     * sink and stamps setOrderKey(cycle, sm) before stepping the SM, so
-     * mergeTaggedShards can later reconstruct the exact emission order
-     * of the sequential loop. Tagged sinks are still single-threaded:
-     * only the worker owning the SM writes to its sink.
-     */
-    void
-    enableOrderTagging()
-    {
-        tagging_ = true;
-    }
-
-    /** Stamp the order key applied to subsequent emissions. */
-    void
-    setOrderKey(Cycle cycle, std::uint16_t sm)
-    {
-        orderCycle_ = cycle;
-        orderSm_ = sm;
-    }
-
-    /** Tagged emissions, in per-shard emission order. */
-    const std::vector<TaggedEvent> &
-    taggedEvents() const
-    {
-        return tagged_;
-    }
-
-    /**
-     * Stable k-way merge of order-tagged shard sinks into @p out
-     * (a normal ring sink), ordered by (orderCycle, orderSm) with
-     * per-shard emission order preserved inside equal keys. Each shard
-     * stream is non-decreasing in that key — the per-worker leader loop
-     * always steps its lexicographically smallest (cycle, sm) — so the
-     * merge reproduces the sequential loop's emission sequence exactly,
-     * including the real sink's ring-wrap and drop accounting.
-     */
-    static void mergeTaggedShards(
-        const std::vector<const TraceSink *> &shards, TraceSink &out);
-
   private:
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;
-
-    // Order-tagged shard mode (sharded event loop only).
-    bool tagging_ = false;
-    Cycle orderCycle_ = 0;
-    std::uint16_t orderSm_ = 0;
-    std::vector<TaggedEvent> tagged_;
 };
 
 } // namespace rtp

@@ -49,10 +49,11 @@ TEST(GridSpherical, DefaultWidthIs15Bits)
     EXPECT_EQ(h.hashBits(), 15);
     Rng rng(1);
     for (int i = 0; i < 500; ++i) {
-        Ray r = makeRay({rng.nextRange(0, 100), rng.nextRange(0, 100),
-                         rng.nextRange(0, 100)},
-                        {rng.nextRange(-1, 1), rng.nextRange(-1, 1),
-                         rng.nextRange(-1, 1) + 1e-3f});
+        Vec3 d{rng.nextRange(-1, 1), rng.nextRange(-1, 1),
+               rng.nextRange(-1, 1) + 1e-3f};
+        Vec3 o{rng.nextRange(0, 100), rng.nextRange(0, 100),
+               rng.nextRange(0, 100)};
+        Ray r = makeRay(o, d);
         EXPECT_LT(h.hash(r), 1u << 15);
     }
 }
@@ -128,10 +129,11 @@ TEST(TwoPoint, LengthRatioChangesHash)
     Rng rng(3);
     int diff = 0;
     for (int i = 0; i < 200; ++i) {
-        Ray r = makeRay({rng.nextRange(10, 90), rng.nextRange(10, 90),
-                         rng.nextRange(10, 90)},
-                        {rng.nextRange(-1, 1), rng.nextRange(-1, 1),
-                         rng.nextRange(-1, 1) + 1e-3f});
+        Vec3 d{rng.nextRange(-1, 1), rng.nextRange(-1, 1),
+               rng.nextRange(-1, 1) + 1e-3f};
+        Vec3 o{rng.nextRange(10, 90), rng.nextRange(10, 90),
+               rng.nextRange(10, 90)};
+        Ray r = makeRay(o, d);
         if (near.hash(r) != far.hash(r))
             diff++;
     }
@@ -181,12 +183,11 @@ TEST(Hashing, LocalityBeatsRandomProperty)
             Ray a = makeRay(o, d);
             Ray near_b = makeRay(o + Vec3{0.3f, 0.3f, 0.3f},
                                  d + Vec3{0.02f, 0.02f, 0.0f});
-            Ray rand_b = makeRay({rng.nextRange(5, 95),
-                                  rng.nextRange(5, 95),
-                                  rng.nextRange(5, 95)},
-                                 {rng.nextRange(-1, 1),
-                                  rng.nextRange(-1, 1),
-                                  rng.nextRange(-1, 1) + 1e-3f});
+            Vec3 rand_d{rng.nextRange(-1, 1), rng.nextRange(-1, 1),
+                        rng.nextRange(-1, 1) + 1e-3f};
+            Vec3 rand_o{rng.nextRange(5, 95), rng.nextRange(5, 95),
+                        rng.nextRange(5, 95)};
+            Ray rand_b = makeRay(rand_o, rand_d);
             if (h.hash(a) == h.hash(near_b))
                 near_coll++;
             if (h.hash(a) == h.hash(rand_b))

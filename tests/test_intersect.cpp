@@ -355,11 +355,11 @@ TEST(RayBoxPrecompTest, MatchesUncachedOverload)
                         rng.nextRange(-5, 5)});
         box.extend(Vec3{rng.nextRange(-5, 5), rng.nextRange(-5, 5),
                         rng.nextRange(-5, 5)});
-        Ray ray = makeRay({rng.nextRange(-10, 10),
-                           rng.nextRange(-10, 10),
-                           rng.nextRange(-10, 10)},
-                          {rng.nextRange(-1, 1), rng.nextRange(-1, 1),
-                           rng.nextRange(-1, 1)});
+        Vec3 d{rng.nextRange(-1, 1), rng.nextRange(-1, 1),
+               rng.nextRange(-1, 1)};
+        Vec3 o{rng.nextRange(-10, 10), rng.nextRange(-10, 10),
+               rng.nextRange(-10, 10)};
+        Ray ray = makeRay(o, d);
         if (length(ray.dir) < 1e-3f)
             continue;
         RayBoxPrecomp pre(ray);

@@ -4,9 +4,11 @@
  *
  * The four observers (trace sink, telemetry sampler, cycle profiler
  * and invariant checker) are attached one at a time and all together,
- * to the baseline and proposed configurations, on the sequential
- * (simThreads = 1) and sharded (simThreads = 4) event loops of a 4-SM
- * chip. Every cell asserts that:
+ * to the baseline and proposed configurations of a 4-SM chip at
+ * simThreads = 1 and 4. The profile_t4 and check_t4 cells run the
+ * sharded event loop; a trace sink or a telemetry sampler routes a run
+ * to the sequential loop, so the trace, telemetry and all cells run it
+ * at both thread counts. Every cell asserts that:
  *  - the SimResult JSON and every per-ray result equal the unobserved
  *    run's;
  *  - every attached observer produced output;

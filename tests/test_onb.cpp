@@ -47,7 +47,9 @@ TEST(CosineSample, StaysInUpperHemisphere)
 {
     Rng rng(22);
     for (int i = 0; i < 500; ++i) {
-        Vec3 d = cosineSampleHemisphere(rng.nextFloat(), rng.nextFloat());
+        float u2 = rng.nextFloat();
+        float u1 = rng.nextFloat();
+        Vec3 d = cosineSampleHemisphere(u1, u2);
         EXPECT_GE(d.z, 0.0f);
         EXPECT_NEAR(length(d), 1.0f, 1e-4f);
     }
@@ -59,9 +61,11 @@ TEST(CosineSample, MeanCosineMatchesDistribution)
     Rng rng(23);
     double acc = 0.0;
     const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        acc += cosineSampleHemisphere(rng.nextFloat(),
-                                      rng.nextFloat()).z;
+    for (int i = 0; i < n; ++i) {
+        float u2 = rng.nextFloat();
+        float u1 = rng.nextFloat();
+        acc += cosineSampleHemisphere(u1, u2).z;
+    }
     EXPECT_NEAR(acc / n, 2.0 / 3.0, 0.01);
 }
 

@@ -2,10 +2,12 @@
  * @file
  * Sharded event-loop equivalence tests (gpu/shard.hpp,
  * docs/performance.md): the sharded loop must be byte-identical to the
- * sequential reference loop in every observable output — SimResult
- * JSON, Chrome-trace bytes (including ring-wrap drop accounting),
- * telemetry timelines, and invariant-checker behaviour — at any worker
- * count, on every bundled scene.
+ * sequential reference loop in the SimResult JSON, the cycle profile
+ * and the invariant checker's probe count, at any worker count, on
+ * every bundled scene. A traced or sampled run takes the sequential
+ * loop whatever simThreads says; its Chrome-trace bytes (including
+ * ring-wrap drop accounting) and telemetry timeline must not move with
+ * simThreads either.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +15,15 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/workload.hpp"
+#include "gpu/shard.hpp"
 #include "gpu/simulator.hpp"
 #include "scene/registry.hpp"
 #include "util/check.hpp"
+#include "util/profile.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace.hpp"
 
@@ -41,20 +46,19 @@ cache()
     return *c;
 }
 
-/** Everything one observed run produces, as comparable bytes. */
+/** What a traced and sampled run produces, as comparable bytes. */
 struct RunOutputs
 {
     std::string resultJson;
     std::string traceJson;
     std::uint64_t traceDropped = 0;
     std::string telemetryJson;
-    std::uint64_t checksRun = 0;
 };
 
 /**
- * Run @p w under @p config at @p sim_threads with every observer
- * attached: a trace sink of @p trace_capacity events, a telemetry
- * sampler at @p telemetry_period, and the invariant checker.
+ * Run @p w under @p config at @p sim_threads with a trace sink of
+ * @p trace_capacity events and a telemetry sampler at
+ * @p telemetry_period attached.
  */
 RunOutputs
 runObserved(const Workload &w, SimConfig config,
@@ -64,10 +68,8 @@ runObserved(const Workload &w, SimConfig config,
     config.simThreads = sim_threads;
     TraceSink sink(trace_capacity);
     TelemetrySampler sampler(telemetry_period);
-    InvariantChecker check;
     config.trace = &sink;
     config.telemetry = &sampler;
-    config.check = &check;
 
     RunOutputs out;
     out.resultJson = Simulation(config, w.bvh,
@@ -81,6 +83,36 @@ runObserved(const Workload &w, SimConfig config,
     std::ostringstream telemetry_os;
     sampler.writeJson(telemetry_os);
     out.telemetryJson = telemetry_os.str();
+    return out;
+}
+
+/** What a checked and profiled run produces. */
+struct CheckedOutputs
+{
+    std::string resultJson;
+    std::string profileJson;
+    std::uint64_t checksRun = 0;
+};
+
+/**
+ * Run @p w under @p config at @p sim_threads with the invariant checker
+ * and the cycle profiler attached: the observers the sharded loop runs.
+ */
+CheckedOutputs
+runChecked(const Workload &w, SimConfig config, std::uint32_t sim_threads)
+{
+    config.simThreads = sim_threads;
+    CycleProfiler profile;
+    InvariantChecker check;
+    config.profile = &profile;
+    config.check = &check;
+
+    CheckedOutputs out;
+    out.resultJson = Simulation(config, w.bvh,
+                                w.scene.mesh.triangles())
+                         .run(w.ao.rays)
+                         .toJson();
+    out.profileJson = profile.toJson();
     out.checksRun = check.checksRun();
     return out;
 }
@@ -124,31 +156,51 @@ TEST(ShardedEquiv, BaselineConfigIdenticalAcrossWorkerCounts)
 
 TEST(ShardedEquiv, ObserversByteIdenticalAcrossWorkerCounts)
 {
-    // Trace, telemetry, and checker attached: all three observer
-    // outputs must match the sequential bytes exactly, and the checker
-    // must run the same number of probes.
+    // Checker and profiler attached, the observers that run on the
+    // sharded loop's worker threads: the result and profile JSON must
+    // match the sequential bytes exactly, and the checker must run the
+    // same number of probes.
     SimConfig config = SimConfig::proposed();
     config.numSms = 4;
     const Workload &w = cache().get(SceneId::Sibenik);
-    const RunOutputs seq = runObserved(w, config, 1, 1u << 16, 128);
+    const CheckedOutputs seq = runChecked(w, config, 1);
     for (std::uint32_t threads : {2u, 4u}) {
-        const RunOutputs sharded =
-            runObserved(w, config, threads, 1u << 16, 128);
+        const CheckedOutputs sharded = runChecked(w, config, threads);
         EXPECT_EQ(seq.resultJson, sharded.resultJson)
             << "simThreads=" << threads;
-        EXPECT_EQ(seq.traceJson, sharded.traceJson)
-            << "simThreads=" << threads;
-        EXPECT_EQ(seq.telemetryJson, sharded.telemetryJson)
+        EXPECT_EQ(seq.profileJson, sharded.profileJson)
             << "simThreads=" << threads;
         EXPECT_EQ(seq.checksRun, sharded.checksRun)
             << "simThreads=" << threads;
     }
 }
 
+TEST(ShardedEquiv, TraceAndTelemetryByteIdenticalAcrossWorkerCounts)
+{
+    // A trace sink or a telemetry sampler routes the run to the
+    // sequential loop at any simThreads; were it sharded, workers would
+    // emit into one sink out of the global order and the bytes would
+    // move.
+    SimConfig config = SimConfig::proposed();
+    config.numSms = 4;
+    const Workload &w = cache().get(SceneId::Sibenik);
+    const RunOutputs seq = runObserved(w, config, 1, 1u << 16, 128);
+    for (std::uint32_t threads : {2u, 4u}) {
+        const RunOutputs routed =
+            runObserved(w, config, threads, 1u << 16, 128);
+        EXPECT_EQ(seq.resultJson, routed.resultJson)
+            << "simThreads=" << threads;
+        EXPECT_EQ(seq.traceJson, routed.traceJson)
+            << "simThreads=" << threads;
+        EXPECT_EQ(seq.telemetryJson, routed.telemetryJson)
+            << "simThreads=" << threads;
+    }
+}
+
 TEST(ShardedEquiv, TraceRingWrapAndDropsIdentical)
 {
-    // A deliberately tiny ring forces wrap-around and drops; the merge
-    // into the real sink must reproduce the sequential loop's exact
+    // A deliberately tiny ring forces wrap-around and drops; every
+    // worker count must reproduce the sequential loop's exact
     // retention window and drop count, not just the event multiset.
     SimConfig config = SimConfig::proposed();
     config.numSms = 4;
@@ -191,6 +243,27 @@ TEST(ShardedEquiv, WorkerCountClampsToNumSms)
     const Workload &w = cache().get(SceneId::FireplaceRoom);
     EXPECT_EQ(runPlain(w, two, 1), runPlain(w, two, 8));
     EXPECT_EQ(runPlain(w, one, 1), runPlain(w, one, 8));
+}
+
+TEST(ShardedEquiv, AbortReleasesAWaitingWorker)
+{
+    // A failing worker frees the others only through the gate's abort:
+    // a worker waiting on an SM that will never advance must leave
+    // waitTurn with ShardAbort instead of spinning forever.
+    ShardGate gate(2);
+    gate.setProgress(0, 10);
+    gate.setProgress(1, 5); // SM 1 holds the earlier key and never moves
+    bool released = false;
+    std::jthread waiter([&] {
+        try {
+            gate.waitTurn(0);
+        } catch (const ShardAbort &) {
+            released = true;
+        }
+    });
+    gate.requestAbort();
+    waiter.join();
+    EXPECT_TRUE(released);
 }
 
 TEST(ShardedEquiv, RepeatedRunsOnOneSimulationStayIdentical)
